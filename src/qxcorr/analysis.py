@@ -127,17 +127,22 @@ def _row(args: tuple[XStateParams, str, float]) -> SweepRow:
     )
 
 
+def _grid_rows(spec: SweepSpec, jobs: int) -> list[SweepRow]:
+    """Rows for every grid point, in grid order; ``jobs`` > 1 uses a process pool."""
+    tasks = [(spec.base, spec.variable, value) for value in spec.grid()]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_row, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+    return [_row(t) for t in tasks]
+
+
 def sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
     """Evaluate the thermal closed forms on the grid, in grid order.
 
     ``jobs`` > 1 farms grid points out to a process pool; assembly order is
     the grid order either way.
     """
-    tasks = [(spec.base, spec.variable, value) for value in spec.grid()]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_row, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
-    return [_row(t) for t in tasks]
+    return _grid_rows(spec, jobs)
 
 
 def _branch_gap(base: XStateParams, variable: str, measure: str, value: float) -> float:
@@ -175,12 +180,7 @@ def find_transitions(spec: SweepSpec, jobs: int = 1) -> list[TransitionPoint]:
     without a sign change are not reported.  Results are ordered by location.
     """
     grid = spec.grid()
-    tasks = [(spec.base, spec.variable, value) for value in grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_row, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
-    else:
-        rows = [_row(t) for t in tasks]
+    rows = _grid_rows(spec, jobs)
 
     found: list[TransitionPoint] = []
     for measure in ("LQFI", "LQU"):

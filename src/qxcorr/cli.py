@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import SWEEP_VARIABLES, SweepSpec, SweepRow, find_transitions, sweep
-from .correlations import lqfi_thermal, lqu_thermal, lqu_x, lqfi_x
+from .analysis import SWEEP_VARIABLES, SweepSpec, SweepRow, _row, find_transitions, sweep
+from .correlations import lqu_x, lqfi_x
 from .limits import IndeterminateZeroTemperatureLimit, zero_t_limit
 from .oracle import lambda_max_closed, oracle_m_matrix, oracle_w_matrix, random_x_state
 from .xmodel import HamiltonianParams, XStateParams, derived_radii
@@ -287,15 +287,8 @@ def _run_eval(config: RunConfig) -> int:
                 print(f"{which},indeterminate")
         return EXIT_OK
     sep = "," if config.fmt == "csv" else "\t"
-    f = lqfi_thermal(config.params)
-    u = lqu_thermal(config.params)
-    row = SweepRow(
-        x=config.params.T,
-        f0=f.branch0, f1=f.branch1, f=f.value, f_branch=f.active,
-        u0=u.branch0, u1=u.branch1, u=u.value, u_branch=u.active,
-    )
     print(_header("T", sep))
-    print(_row_line(row, sep))
+    print(_row_line(_row((config.params, "T", config.params.T)), sep))
     return EXIT_OK
 
 

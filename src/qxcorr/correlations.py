@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .oracle import oracle_w_matrix, spectral_moments
 from .xalgebra import XSpectrum, eigenframe, local_spin_in_eigenbasis, spectrum
-from .xmodel import XMatrix, XStateParams, _shifted_weights, realize
+from .xmodel import XMatrix, XStateParams, _shifted_weights, dephase, gibbs_xstate, realize
 
 __all__ = [
-    "MEigenvalues",
-    "WEigenvalues",
+    "MomentDiagonal",
     "BranchPair",
     "BOUNDARY_TOL",
     "m_eigenvalues",
@@ -50,21 +50,17 @@ _RATIO_NUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class MEigenvalues:
-    """Diagonal entries of the quantum-Fisher moment matrix; xx >= yy always."""
+class MomentDiagonal:
+    """Diagonal entries of a Fisher or skew-information moment matrix; xx >= yy always."""
 
     xx: float
     yy: float
     zz: float
 
-
-@dataclass(frozen=True)
-class WEigenvalues:
-    """Diagonal entries of the skew-information moment matrix; xx >= yy always."""
-
-    xx: float
-    yy: float
-    zz: float
+    @classmethod
+    def of(cls, k: np.ndarray) -> "MomentDiagonal":
+        """The diagonal of a 3x3 moment matrix."""
+        return cls(xx=float(k[0, 0]), yy=float(k[1, 1]), zz=float(k[2, 2]))
 
 
 @dataclass(frozen=True)
@@ -131,7 +127,7 @@ def _transverse_moment_scale(p1: float, p2: float, p3: float, p4: float) -> floa
     return 4.0 * weight / pair_products
 
 
-def m_eigenvalues(x: XMatrix, s: XSpectrum | None = None) -> MEigenvalues:
+def m_eigenvalues(x: XMatrix, s: XSpectrum | None = None) -> MomentDiagonal:
     """Simplified closed forms for the Fisher moment diagonal.
 
     Exactly empty blocks contribute zero to the zz entry; the transverse
@@ -154,7 +150,7 @@ def m_eigenvalues(x: XMatrix, s: XSpectrum | None = None) -> MEigenvalues:
     core = x.a * x.c + x.b * x.d + s.p1 * s.p2 + s.p3 * s.p4
     cross = 2.0 * u * v
     scale = _transverse_moment_scale(s.p1, s.p2, s.p3, s.p4)
-    return MEigenvalues(xx=(core + cross) * scale, yy=(core - cross) * scale, zz=zz)
+    return MomentDiagonal(xx=(core + cross) * scale, yy=(core - cross) * scale, zz=zz)
 
 
 class _OracleFallback(Exception):
@@ -176,7 +172,7 @@ def _degenerate_ratio(num: float, den: float) -> float:
     raise _OracleFallback
 
 
-def w_eigenvalues(x: XMatrix, s: XSpectrum | None = None) -> WEigenvalues:
+def w_eigenvalues(x: XMatrix, s: XSpectrum | None = None) -> MomentDiagonal:
     """Simplified closed forms for the skew-information moment diagonal."""
     if s is None:
         s = spectrum(x)
@@ -196,11 +192,8 @@ def w_eigenvalues(x: XMatrix, s: XSpectrum | None = None) -> WEigenvalues:
             + _degenerate_ratio((x.b - x.c) ** 2 - 4.0 * v * v, sp34 * sp34)
         )
     except _OracleFallback:
-        from .oracle import oracle_w_matrix
-
-        k = oracle_w_matrix(x.as_matrix())
-        return WEigenvalues(xx=k[0, 0], yy=k[1, 1], zz=k[2, 2])
-    return WEigenvalues(xx=xx, yy=yy, zz=zz)
+        return MomentDiagonal.of(oracle_w_matrix(x.as_matrix()))
+    return MomentDiagonal(xx=xx, yy=yy, zz=zz)
 
 
 def _frame_eigenvalues_and_spins(x: XMatrix):
@@ -222,39 +215,18 @@ def _frame_eigenvalues_and_spins(x: XMatrix):
     return lam, spins
 
 
-def m_eigenvalues_raw(x: XMatrix, s: XSpectrum | None = None) -> MEigenvalues:
+def m_eigenvalues_raw(x: XMatrix) -> MomentDiagonal:
     """Raw spectral-sum form of the Fisher moments (internal cross-check).
 
     Sums 2 p_m p_n / (p_m + p_n) |<m|sigma x I|n>|^2 over eigenvector pairs in
     the closed-form frame, skipping pairs with vanishing total weight.
     """
-    lam, spins = _frame_eigenvalues_and_spins(x)
-    out = {}
-    for axis in ("x", "y", "z"):
-        mat = spins[axis]
-        total = 0.0
-        for m in range(4):
-            for n in range(4):
-                denom = lam[m] + lam[n]
-                if denom > _EMPTY_BLOCK:
-                    total += 2.0 * lam[m] * lam[n] / denom * abs(mat[m, n]) ** 2
-        out[axis] = total
-    return MEigenvalues(xx=out["x"], yy=out["y"], zz=out["z"])
+    return MomentDiagonal.of(spectral_moments(*_frame_eigenvalues_and_spins(x), "fisher"))
 
 
-def w_eigenvalues_raw(x: XMatrix, s: XSpectrum | None = None) -> WEigenvalues:
+def w_eigenvalues_raw(x: XMatrix) -> MomentDiagonal:
     """Raw spectral-sum form of the skew moments (internal cross-check)."""
-    lam, spins = _frame_eigenvalues_and_spins(x)
-    root = np.sqrt(lam)
-    out = {}
-    for axis in ("x", "y", "z"):
-        mat = spins[axis]
-        total = 0.0
-        for m in range(4):
-            for n in range(4):
-                total += root[m] * root[n] * abs(mat[m, n]) ** 2
-        out[axis] = total
-    return WEigenvalues(xx=out["x"], yy=out["y"], zz=out["z"])
+    return MomentDiagonal.of(spectral_moments(*_frame_eigenvalues_and_spins(x), "skew"))
 
 
 def lqfi_x(x: XMatrix) -> BranchPair:
@@ -349,6 +321,4 @@ def lqu_thermal(p: XStateParams) -> BranchPair:
 
 def thermal_xmatrix(p: XStateParams) -> XMatrix:
     """Dephased Gibbs X matrix of the standard realization of ``p``."""
-    from .xmodel import dephase, gibbs_xstate
-
     return dephase(gibbs_xstate(realize(p), p.T))

@@ -10,9 +10,9 @@ main correctness evidence for the whole package.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
-from scipy.optimize import minimize as _nelder_mead
 
 from .xmodel import XMatrix
 
@@ -21,6 +21,7 @@ __all__ = [
     "LOCAL_SPIN",
     "jacobi_eigh",
     "validate_density_matrix",
+    "spectral_moments",
     "oracle_m_matrix",
     "oracle_w_matrix",
     "lambda_max_closed",
@@ -72,8 +73,12 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
                 mag = abs(apq)
                 if mag == 0.0:
                     continue
-                phase = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
+                # A subnormal |a_pq| must not overflow the phase, so it is
+                # divided out part by part.  tau may still overflow to inf
+                # (the rotation is then the identity); Python floats do that
+                # without a warning.
+                phase = complex(apq.real / mag, apq.imag / mag)
+                tau = float(a[q, q].real - a[p, p].real) / (2.0 * float(mag))
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
@@ -91,8 +96,13 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
     return evals[order], v[:, order]
 
 
-def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return as complex array."""
+def validate_density_matrix(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check Hermiticity, unit trace and positivity of a 4x4 density matrix.
+
+    Returns the eigen-decomposition the positivity check computed: ascending
+    eigenvalues, with those within the negativity tolerance clamped to zero,
+    and the matching eigenvector columns.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
@@ -100,57 +110,53 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > _TRACE_ATOL or abs(np.trace(rho).imag) > _TRACE_ATOL:
         raise ValueError("density matrix trace differs from 1")
-    evals, _ = jacobi_eigh(rho)
+    evals, evecs = jacobi_eigh(rho)
     if evals.min() < _EIGENVALUE_FLOOR:
         raise ValueError(f"density matrix has a negative eigenvalue: {evals.min()!r}")
-    return rho
+    return np.clip(evals, 0.0, None), evecs
+
+
+def spectral_moments(p: np.ndarray, spins: Mapping[str, np.ndarray], kind: str) -> np.ndarray:
+    """Moment matrix K[mu, nu] = sum_mn w_mn Re(S_mu[m, n] S_nu[n, m]), symmetrized.
+
+    ``p`` holds the eigenvalues of the state and ``spins`` maps each axis
+    "x", "y", "z" to the local spin operator written in the same eigenbasis.
+    ``kind`` selects the pair weights:
+
+    * "fisher": w_mn = 2 p_m p_n / (p_m + p_n), restricted to pairs with total
+      weight above ``PAIR_WEIGHT_CUTOFF``;
+    * "skew": w_mn = sqrt(p_m) sqrt(p_n), which makes K[mu, nu] the trace
+      tr(sqrt(rho) S_mu sqrt(rho) S_nu) written in the eigenbasis.
+    """
+    p = np.asarray(p, dtype=float)
+    if kind == "fisher":
+        total = p[:, None] + p[None, :]
+        keep = total > PAIR_WEIGHT_CUTOFF
+        weights = np.where(keep, 2.0 * np.outer(p, p) / np.where(keep, total, 1.0), 0.0)
+    elif kind == "skew":
+        root = np.sqrt(p)
+        weights = np.outer(root, root)
+    else:
+        raise ValueError(f"kind must be 'fisher' or 'skew', got {kind!r}")
+    s = np.stack([spins[axis] for axis in _AXES])
+    k = np.einsum("mn,imn,jnm->ij", weights, s, s).real
+    return 0.5 * (k + k.T)
 
 
 def _spectral_elements(rho: np.ndarray):
-    """Eigenvalues and local-spin matrix elements in the eigenbasis of rho."""
-    rho = validate_density_matrix(rho)
-    evals, evecs = jacobi_eigh(rho)
-    elements = {axis: evecs.conj().T @ LOCAL_SPIN[axis] @ evecs for axis in _AXES}
-    return np.clip(evals, 0.0, None), elements
+    """Eigenvalues of rho and the local spin operators in its eigenbasis."""
+    p, evecs = validate_density_matrix(rho)
+    return p, {axis: evecs.conj().T @ LOCAL_SPIN[axis] @ evecs for axis in _AXES}
 
 
 def oracle_m_matrix(rho: np.ndarray) -> np.ndarray:
-    """Fisher moment matrix from its defining spectral sum.
-
-    M[mu, nu] = sum over eigenvector pairs of 2 p_m p_n / (p_m + p_n) times the
-    product of local-spin matrix elements, restricted to pairs with nonzero
-    total weight.
-    """
-    p, elem = _spectral_elements(rho)
-    m = np.zeros((3, 3))
-    for i, mu in enumerate(_AXES):
-        for j, nu in enumerate(_AXES):
-            total = 0.0
-            for a in range(4):
-                for b in range(4):
-                    denom = p[a] + p[b]
-                    if denom > PAIR_WEIGHT_CUTOFF:
-                        total += (
-                            2.0 * p[a] * p[b] / denom * (elem[mu][a, b] * elem[nu][b, a]).real
-                        )
-            m[i, j] = total
-    return 0.5 * (m + m.T)
+    """Fisher moment matrix from its defining spectral sum over eigenvector pairs."""
+    return spectral_moments(*_spectral_elements(rho), "fisher")
 
 
 def oracle_w_matrix(rho: np.ndarray) -> np.ndarray:
-    """Skew moment matrix tr(sqrt(rho) S_mu sqrt(rho) S_nu) via the square root.
-
-    Eigenvalues within the negativity tolerance are clamped to zero before the
-    square root.
-    """
-    rho = validate_density_matrix(rho)
-    evals, evecs = jacobi_eigh(rho)
-    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-    w = np.zeros((3, 3))
-    for i, mu in enumerate(_AXES):
-        for j, nu in enumerate(_AXES):
-            w[i, j] = np.trace(root @ LOCAL_SPIN[mu] @ root @ LOCAL_SPIN[nu]).real
-    return 0.5 * (w + w.T)
+    """Skew moment matrix tr(sqrt(rho) S_mu sqrt(rho) S_nu) from the spectral sum."""
+    return spectral_moments(*_spectral_elements(rho), "skew")
 
 
 def lambda_max_closed(k: np.ndarray) -> float:
@@ -229,7 +235,10 @@ def minimize_over_observables(
         n = np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)])
         return 1.0 - _bloch_moment(k, n)
 
-    result = _nelder_mead(
+    # scipy's only use: imported here so that importing qxcorr does not load it
+    from scipy.optimize import minimize
+
+    result = minimize(
         objective,
         start,
         method="Nelder-Mead",

@@ -45,3 +45,38 @@ def random_reduced(rng: np.random.Generator, scale: float = 3.0, t_lo=0.05, t_hi
         B2=rng.uniform(-scale, scale),
         T=float(np.exp(rng.uniform(np.log(t_lo), np.log(t_hi)))),
     )
+
+
+# Reference forms of the spectral sums, kept as plain loops so that the shared
+# numpy contraction in ``qxcorr.oracle.spectral_moments`` is checked against an
+# independent evaluation.  Pairs with total weight at or below 1e-14 are
+# excluded from the Fisher sum, as in the defining restriction.
+
+
+def fisher_pair_loop(p, spins) -> np.ndarray:
+    """sum_mn 2 p_m p_n / (p_m + p_n) Re(S_mu[m, n] S_nu[n, m]), pair by pair."""
+    m = np.zeros((3, 3))
+    for i, mu in enumerate("xyz"):
+        for j, nu in enumerate("xyz"):
+            total = 0.0
+            for a in range(4):
+                for b in range(4):
+                    denom = p[a] + p[b]
+                    if denom > 1e-14:
+                        total += 2.0 * p[a] * p[b] / denom * (spins[mu][a, b] * spins[nu][b, a]).real
+            m[i, j] = total
+    return 0.5 * (m + m.T)
+
+
+def skew_pair_loop(p, spins) -> np.ndarray:
+    """sum_mn sqrt(p_m) sqrt(p_n) Re(S_mu[m, n] S_nu[n, m]), pair by pair."""
+    root = np.sqrt(p)
+    w = np.zeros((3, 3))
+    for i, mu in enumerate("xyz"):
+        for j, nu in enumerate("xyz"):
+            w[i, j] = sum(
+                root[a] * root[b] * (spins[mu][a, b] * spins[nu][b, a]).real
+                for a in range(4)
+                for b in range(4)
+            )
+    return 0.5 * (w + w.T)

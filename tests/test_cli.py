@@ -278,3 +278,15 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[0].startswith("LQFI 1.582")
+
+    def test_import_leaves_scipy_unloaded(self):
+        import subprocess
+        import sys
+
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, qxcorr.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        assert result.stdout.strip() == "False"

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ANTIFERRO_STRONG, FERRO_DOUBLE_CROSSING, FERRO_WEAK_FIELD, random_reduced
+from conftest import (
+    ANTIFERRO_STRONG,
+    FERRO_DOUBLE_CROSSING,
+    FERRO_WEAK_FIELD,
+    fisher_pair_loop,
+    random_reduced,
+    skew_pair_loop,
+)
 from qxcorr import (
     XMatrix,
     XStateParams,
@@ -24,6 +31,7 @@ from qxcorr import (
     w_eigenvalues,
     w_eigenvalues_raw,
 )
+from qxcorr.correlations import _frame_eigenvalues_and_spins
 
 MIXED = XMatrix(a=0.25, b=0.25, c=0.25, d=0.25)
 BELL = XMatrix(a=0.5, b=0.0, c=0.0, d=0.5, u=0.5)
@@ -97,6 +105,19 @@ class TestSkewMoments:
             assert w.xx == pytest.approx(k[0, 0], abs=1e-9)
             assert w.yy == pytest.approx(k[1, 1], abs=1e-9)
             assert w.zz == pytest.approx(k[2, 2], abs=1e-9)
+
+
+@pytest.mark.parametrize("dephased", [True, False])
+def test_raw_forms_match_pair_loops(dephased):
+    rng = np.random.default_rng(151)
+    for _ in range(40):
+        x = random_x_state(rng, dephased=dephased)
+        lam, spins = _frame_eigenvalues_and_spins(x)
+        for raw, ref in (
+            (m_eigenvalues_raw(x), fisher_pair_loop(lam, spins)),
+            (w_eigenvalues_raw(x), skew_pair_loop(lam, spins)),
+        ):
+            assert np.abs(np.array([raw.xx, raw.yy, raw.zz]) - np.diag(ref)).max() < 1e-14
 
 
 class TestOrderings:

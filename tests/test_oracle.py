@@ -1,26 +1,33 @@
 """Brute-force verification path: Jacobi eigensolver, moment matrices, minimizer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import random_hamiltonian
+import qxcorr.oracle
+from conftest import fisher_pair_loop, random_hamiltonian
 from qxcorr import (
     XMatrix,
+    XStateParams,
     fibonacci_sphere,
     gibbs_xstate,
     jacobi_eigh,
     lambda_max_closed,
     lambda_max_jacobi,
+    lqfi_thermal,
     lqfi_x,
+    lqu_thermal,
     lqu_x,
     minimize_over_observables,
     oracle_m_matrix,
     oracle_w_matrix,
     random_x_state,
+    thermal_xmatrix,
     validate_density_matrix,
 )
+from qxcorr.oracle import LOCAL_SPIN
 
 MIXED = np.eye(4, dtype=complex) / 4.0
 BELL = XMatrix(a=0.5, b=0.0, c=0.0, d=0.5, u=0.5).as_matrix()
@@ -54,6 +61,41 @@ class TestJacobiEigh:
         with pytest.raises(ValueError):
             jacobi_eigh(np.zeros((2, 3)))
 
+    def test_subnormal_entries(self):
+        # a low-temperature Gibbs state whose entries are all subnormal or zero,
+        # and a subnormal coherence beside a normal diagonal gap; LQU is held to
+        # the documented dense-matrix ceiling of 1e-7
+        p = XStateParams(Jz=3.36696, r1=1.75083, r2=2.50158, B1=-0.1438, B2=-2.59175, T=0.00969473)
+        gapped = XMatrix(a=0.5, b=0.3, c=0.1, d=0.1, u=1e-320, v=0.1)
+        cases = [
+            (thermal_xmatrix(p), lqfi_thermal(p).value, lqu_thermal(p).value),
+            (gapped, lqfi_x(gapped).value, lqu_x(gapped).value),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for x, f_ref, u_ref in cases:
+                rho = x.as_matrix()
+                assert 1.0 - lambda_max_jacobi(oracle_m_matrix(rho)) == pytest.approx(f_ref, abs=1e-9)
+                assert 1.0 - lambda_max_jacobi(oracle_w_matrix(rho)) == pytest.approx(u_ref, abs=1e-7)
+
+    def test_low_temperature_scan(self):
+        # occupations far below 1e-12 and entries down to the subnormal range
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for _ in range(8):
+                base = dict(
+                    Jz=rng.uniform(-4.0, 4.0), r1=rng.uniform(0.0, 4.0), r2=rng.uniform(0.0, 4.0),
+                    B1=rng.uniform(-3.0, 3.0), B2=rng.uniform(-3.0, 3.0),
+                )
+                for t in np.linspace(1e-3, 0.05, 25):
+                    p = XStateParams(T=float(t), **base)
+                    rho = thermal_xmatrix(p).as_matrix()
+                    f = 1.0 - lambda_max_jacobi(oracle_m_matrix(rho))
+                    u = 1.0 - lambda_max_jacobi(oracle_w_matrix(rho))
+                    assert f == pytest.approx(lqfi_thermal(p).value, abs=1e-9)
+                    assert u == pytest.approx(lqu_thermal(p).value, abs=1e-7)
+
 
 class TestValidation:
     def test_accepts_valid(self):
@@ -73,6 +115,15 @@ class TestValidation:
         bad = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
         with pytest.raises(ValueError):
             validate_density_matrix(bad)
+
+    def test_returns_decomposition(self):
+        rng = np.random.default_rng(373)
+        for dephased in (True, False):
+            for _ in range(20):
+                rho = random_x_state(rng, dephased=dephased).as_matrix()
+                p, v = validate_density_matrix(rho)
+                assert p.min() >= 0.0
+                assert np.abs(rho @ v - v * p).max() < 1e-12
 
 
 class TestMomentMatrices:
@@ -94,12 +145,40 @@ class TestMomentMatrices:
         # idempotent square root: the trace formula reduces to rho itself
         w = oracle_w_matrix(BELL)
         direct = np.zeros((3, 3))
-        from qxcorr.oracle import LOCAL_SPIN
-
         for i, mu in enumerate("xyz"):
             for j, nu in enumerate("xyz"):
                 direct[i, j] = np.trace(BELL @ LOCAL_SPIN[mu] @ BELL @ LOCAL_SPIN[nu]).real
         assert np.abs(w - direct).max() < 1e-12
+
+    @pytest.mark.parametrize("dephased", [True, False])
+    def test_matches_reference_forms(self, dephased):
+        # reference: a separate Jacobi decomposition, the Fisher sum as a pair
+        # loop and the skew sum as the trace tr(sqrt(rho) S sqrt(rho) S)
+        rng = np.random.default_rng(379)
+        for _ in range(40):
+            rho = random_x_state(rng, dephased=dephased).as_matrix()
+            evals, evecs = jacobi_eigh(rho)
+            p = np.clip(evals, 0.0, None)
+            spins = {axis: evecs.conj().T @ LOCAL_SPIN[axis] @ evecs for axis in "xyz"}
+            root = (evecs * np.sqrt(p)) @ evecs.conj().T
+            w = np.array(
+                [[np.trace(root @ LOCAL_SPIN[mu] @ root @ LOCAL_SPIN[nu]).real for nu in "xyz"] for mu in "xyz"]
+            )
+            assert np.abs(oracle_m_matrix(rho) - fisher_pair_loop(p, spins)).max() < 1e-14
+            assert np.abs(oracle_w_matrix(rho) - 0.5 * (w + w.T)).max() < 1e-14
+
+    @pytest.mark.parametrize("matrix_fn", [oracle_m_matrix, oracle_w_matrix])
+    def test_one_decomposition_per_matrix(self, monkeypatch, matrix_fn):
+        calls = []
+        original = qxcorr.oracle.jacobi_eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(qxcorr.oracle, "jacobi_eigh", counting)
+        matrix_fn(random_x_state(np.random.default_rng(383)).as_matrix())
+        assert len(calls) == 1
 
     def test_pipeline_equivalence_with_closed_forms(self):
         rng = np.random.default_rng(317)
