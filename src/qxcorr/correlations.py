@@ -211,7 +211,7 @@ def _frame_eigenvalues_and_spins(x: XMatrix):
     )
     conj = frame.rotation @ frame.permutation @ dephased @ frame.permutation @ frame.rotation
     lam = np.clip(np.diag(conj), 0.0, None)
-    spins = {axis: local_spin_in_eigenbasis(x, axis) for axis in ("x", "y", "z")}
+    spins = {axis: local_spin_in_eigenbasis(x, axis, frame) for axis in ("x", "y", "z")}
     return lam, spins
 
 

@@ -51,68 +51,114 @@ _TRACE_ATOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-12
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
-    """Eigen-decomposition of a Hermitian matrix by cyclic complex Jacobi.
+def _at(batch: tuple[int, ...], flat: int) -> str:
+    """Where a stack member sits, for error messages; empty for a single matrix."""
+    if not batch:
+        return ""
+    index = tuple(int(i) for i in np.unravel_index(flat, batch))
+    return f" (stack index {index[0] if len(index) == 1 else index})"
 
-    Deterministic and dependency-free; adequate for the tiny matrices used
-    here.  Returns eigenvalues in ascending order and the matching eigenvector
-    columns.  ``tol`` bounds the final off-diagonal Frobenius norm.
+
+def _givens(apq: complex, app: float, aqq: float) -> tuple[float, complex, complex]:
+    """Entries (c, g_pq, g_qp) of the rotation that zeroes the pivot a_pq.
+
+    Scalar Python arithmetic: a subnormal |a_pq| must not overflow the phase,
+    so it is divided out part by part, and tau may overflow to inf (the
+    rotation is then the identity) without a numpy warning.
+    """
+    mag = abs(apq)
+    phase = complex(apq.real / mag, apq.imag / mag)
+    tau = (aqq - app) / (2.0 * mag)
+    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+    c = 1.0 / math.hypot(1.0, t)
+    s = t * c
+    return c, s * phase, -s * phase.conjugate()
+
+
+def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
+    """Eigen-decomposition of Hermitian matrices by cyclic complex Jacobi.
+
+    ``a`` is one n x n matrix or a stack of shape (..., n, n).  Deterministic
+    and dependency-free; adequate for the tiny matrices used here.  Returns
+    eigenvalues in ascending order, shape (..., n), and the matching
+    eigenvector columns, shape (..., n, n).  ``tol`` bounds each member's final
+    off-diagonal Frobenius norm.
+
+    Every member is rotated as if it were alone: the rotation parameters are
+    formed member by member in scalar arithmetic, the dense Givens rotations of
+    one pivot are applied with one stacked matmul to the members whose pivot is
+    nonzero (the others are left untouched), and a member leaves the iteration
+    once it has converged.  A stack therefore gives the same bits as separate
+    calls on its members.
     """
     a = np.array(a, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    v = np.eye(n, dtype=complex)
+    n = a.shape[-1] if a.ndim else 0
+    if a.ndim < 2 or a.shape[-2] != n:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    batch = a.shape[:-2]
+    a = a.reshape(math.prod(batch), n, n)
+    eye = np.eye(n, dtype=complex)[None]
+    v = eye.repeat(len(a), axis=0)
+    pivots = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    rows, cols = np.array(pivots, dtype=int).reshape(-1, 2).T
+    active = np.arange(len(a))
     for _ in range(max_sweeps):
-        off = math.sqrt(sum(2.0 * abs(a[p, q]) ** 2 for p in range(n) for q in range(p + 1, n)))
-        if off < tol:
+        upper = a[active[:, None], rows, cols].view(float)
+        off = np.sqrt(2.0 * (upper * upper).sum(axis=1))
+        active = active[~(off < tol)]
+        if not active.size:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag == 0.0:
-                    continue
-                # A subnormal |a_pq| must not overflow the phase, so it is
-                # divided out part by part.  tau may still overflow to inf
-                # (the rotation is then the identity); Python floats do that
-                # without a warning.
-                phase = complex(apq.real / mag, apq.imag / mag)
-                tau = float(a[q, q].real - a[p, p].real) / (2.0 * float(mag))
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                g = np.eye(n, dtype=complex)
-                g[p, p] = c
-                g[q, q] = c
-                g[p, q] = s * phase
-                g[q, p] = -s * np.conj(phase)
-                a = g.conj().T @ a @ g
-                v = v @ g
+        for p, q in pivots:
+            hit = active[a[active, p, q] != 0]
+            if not hit.size:
+                continue
+            sub = a[hit]
+            params = np.array(
+                list(map(_givens, sub[:, p, q].tolist(), sub[:, p, p].real.tolist(), sub[:, q, q].real.tolist()))
+            )
+            g = eye.repeat(hit.size, axis=0)
+            g[:, p, p] = g[:, q, q] = params[:, 0]
+            g[:, p, q] = params[:, 1]
+            g[:, q, p] = params[:, 2]
+            a[hit] = g.conj().swapaxes(1, 2) @ sub @ g
+            v[hit] = v[hit] @ g
     else:
-        raise RuntimeError("Jacobi iteration did not converge")
-    evals = np.diag(a).real
-    order = np.argsort(evals, kind="stable")
-    return evals[order], v[:, order]
+        raise RuntimeError("Jacobi iteration did not converge" + _at(batch, int(active[0])))
+    evals = np.diagonal(a, axis1=1, axis2=2).real
+    order = np.argsort(evals, axis=1, kind="stable")
+    member = np.arange(len(a))[:, None]
+    # eigenvector columns follow their eigenvalues
+    evals, v = evals[member, order], v.swapaxes(1, 2)[member, order].swapaxes(1, 2)
+    return evals.reshape(*batch, n), v.reshape(*batch, n, n)
 
 
 def validate_density_matrix(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Check Hermiticity, unit trace and positivity of a 4x4 density matrix.
+    """Check Hermiticity, unit trace and positivity of 4x4 density matrices.
 
-    Returns the eigen-decomposition the positivity check computed: ascending
-    eigenvalues, with those within the negativity tolerance clamped to zero,
-    and the matching eigenvector columns.
+    ``rho`` is one matrix or a stack of shape (..., 4, 4).  Returns the
+    eigen-decomposition the positivity check computed: ascending eigenvalues,
+    with those within the negativity tolerance clamped to zero, and the
+    matching eigenvector columns.  An error names the stack index of the first
+    offending member.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > _HERMITIAN_ATOL:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > _TRACE_ATOL or abs(np.trace(rho).imag) > _TRACE_ATOL:
-        raise ValueError("density matrix trace differs from 1")
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix or a stack of them, got shape {rho.shape}")
+    batch = rho.shape[:-2]
+    flat = rho.reshape(-1, 4, 4)
+    bad = np.abs(flat - flat.conj().swapaxes(1, 2)).max(axis=(1, 2)) > _HERMITIAN_ATOL
+    if bad.any():
+        raise ValueError("density matrix is not Hermitian" + _at(batch, int(np.argmax(bad))))
+    trace = np.trace(flat, axis1=1, axis2=2)
+    bad = (np.abs(trace.real - 1.0) > _TRACE_ATOL) | (np.abs(trace.imag) > _TRACE_ATOL)
+    if bad.any():
+        raise ValueError("density matrix trace differs from 1" + _at(batch, int(np.argmax(bad))))
     evals, evecs = jacobi_eigh(rho)
-    if evals.min() < _EIGENVALUE_FLOOR:
-        raise ValueError(f"density matrix has a negative eigenvalue: {evals.min()!r}")
+    lowest = evals[..., 0].reshape(-1)
+    bad = lowest < _EIGENVALUE_FLOOR
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"density matrix has a negative eigenvalue: {lowest[i]!r}" + _at(batch, i))
     return np.clip(evals, 0.0, None), evecs
 
 
@@ -121,7 +167,9 @@ def spectral_moments(p: np.ndarray, spins: Mapping[str, np.ndarray], kind: str) 
 
     ``p`` holds the eigenvalues of the state and ``spins`` maps each axis
     "x", "y", "z" to the local spin operator written in the same eigenbasis.
-    ``kind`` selects the pair weights:
+    For a stack of states, ``p`` has shape (..., n), each operator (..., n, n)
+    and the result (..., 3, 3); each member gets the same bits as a separate
+    call.  ``kind`` selects the pair weights:
 
     * "fisher": w_mn = 2 p_m p_n / (p_m + p_n), restricted to pairs with total
       weight above ``PAIR_WEIGHT_CUTOFF``;
@@ -130,49 +178,68 @@ def spectral_moments(p: np.ndarray, spins: Mapping[str, np.ndarray], kind: str) 
     """
     p = np.asarray(p, dtype=float)
     if kind == "fisher":
-        total = p[:, None] + p[None, :]
+        total = p[..., :, None] + p[..., None, :]
         keep = total > PAIR_WEIGHT_CUTOFF
-        weights = np.where(keep, 2.0 * np.outer(p, p) / np.where(keep, total, 1.0), 0.0)
+        weights = np.where(keep, 2.0 * (p[..., :, None] * p[..., None, :]) / np.where(keep, total, 1.0), 0.0)
     elif kind == "skew":
         root = np.sqrt(p)
-        weights = np.outer(root, root)
+        weights = root[..., :, None] * root[..., None, :]
     else:
         raise ValueError(f"kind must be 'fisher' or 'skew', got {kind!r}")
-    s = np.stack([spins[axis] for axis in _AXES])
-    k = np.einsum("mn,imn,jnm->ij", weights, s, s).real
-    return 0.5 * (k + k.T)
+    s = np.stack([spins[axis] for axis in _AXES], axis=-3)
+    k = np.einsum("...mn,...imn,...jnm->...ij", weights, s, s).real
+    return 0.5 * (k + k.swapaxes(-1, -2))
 
 
 def _spectral_elements(rho: np.ndarray):
     """Eigenvalues of rho and the local spin operators in its eigenbasis."""
     p, evecs = validate_density_matrix(rho)
-    return p, {axis: evecs.conj().T @ LOCAL_SPIN[axis] @ evecs for axis in _AXES}
+    adjoint = evecs.conj().swapaxes(-1, -2)
+    return p, {axis: adjoint @ LOCAL_SPIN[axis] @ evecs for axis in _AXES}
 
 
 def oracle_m_matrix(rho: np.ndarray) -> np.ndarray:
-    """Fisher moment matrix from its defining spectral sum over eigenvector pairs."""
+    """Fisher moment matrix from its defining spectral sum over eigenvector pairs.
+
+    Takes one density matrix or a stack (..., 4, 4) and returns (..., 3, 3).
+    """
     return spectral_moments(*_spectral_elements(rho), "fisher")
 
 
 def oracle_w_matrix(rho: np.ndarray) -> np.ndarray:
-    """Skew moment matrix tr(sqrt(rho) S_mu sqrt(rho) S_nu) from the spectral sum."""
+    """Skew moment matrix tr(sqrt(rho) S_mu sqrt(rho) S_nu) from the spectral sum.
+
+    Takes one density matrix or a stack (..., 4, 4) and returns (..., 3, 3).
+    """
     return spectral_moments(*_spectral_elements(rho), "skew")
 
 
-def lambda_max_closed(k: np.ndarray) -> float:
-    """Largest eigenvalue of a real symmetric 3x3 matrix, trigonometric route."""
+def lambda_max_closed(k: np.ndarray) -> float | np.ndarray:
+    """Largest eigenvalue of real symmetric 3x3 matrices, trigonometric route.
+
+    ``k`` is one matrix, giving a float, or a stack (..., 3, 3), giving an
+    array of shape (...).  The sums are taken over the stack with numpy and the
+    trigonometric step member by member in scalar arithmetic, so a stack gives
+    the same bits as separate calls.
+    """
     k = np.asarray(k, dtype=float)
-    q = (k[0, 0] + k[1, 1] + k[2, 2]) / 3.0
-    b = k - q * np.eye(3)
-    p2 = float(np.sum(b * b)) / 6.0
+    q = (k[..., 0, 0] + k[..., 1, 1] + k[..., 2, 2]) / 3.0
+    b = k - q[..., None, None] * np.eye(3)
+    p2 = np.sum(b * b, axis=(-2, -1)) / 6.0
+    det = (
+        b[..., 0, 0] * (b[..., 1, 1] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 1])
+        - b[..., 0, 1] * (b[..., 1, 0] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 0])
+        + b[..., 0, 2] * (b[..., 1, 0] * b[..., 2, 1] - b[..., 1, 1] * b[..., 2, 0])
+    )
+    top = map(_top_root, q.reshape(-1).tolist(), p2.reshape(-1).tolist(), det.reshape(-1).tolist())
+    return np.array(list(top)).reshape(q.shape)[()]
+
+
+def _top_root(q: float, p2: float, det: float) -> float:
+    """Largest root of the shifted characteristic cubic of one 3x3 matrix."""
     if p2 <= 0.0:
         return q
     p = math.sqrt(p2)
-    det = (
-        b[0, 0] * (b[1, 1] * b[2, 2] - b[1, 2] * b[2, 1])
-        - b[0, 1] * (b[1, 0] * b[2, 2] - b[1, 2] * b[2, 0])
-        + b[0, 2] * (b[1, 0] * b[2, 1] - b[1, 1] * b[2, 0])
-    )
     r = det / (2.0 * p**3)
     r = min(1.0, max(-1.0, r))
     return q + 2.0 * p * math.cos(math.acos(r) / 3.0)

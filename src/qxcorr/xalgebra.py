@@ -151,15 +151,19 @@ def eigenframe(x: XMatrix) -> EigenFrame:
     return EigenFrame(permutation=BLOCK_PERMUTATION.copy(), rotation=rot)
 
 
-def local_spin_in_eigenbasis(x: XMatrix, axis: str) -> np.ndarray:
+def local_spin_in_eigenbasis(x: XMatrix, axis: str, frame: EigenFrame | None = None) -> np.ndarray:
     """Pauli operator on qubit A, written in the eigenbasis of the X matrix.
 
     Equivalent to rotation @ permutation @ (sigma_axis x I) @ permutation @
     rotation, assembled from the closed-form 2x2 blocks.  The x and y results
     are block-anti-diagonal, z is block-diagonal.  Returned as complex128 (the
-    y matrix is purely imaginary).
+    y matrix is purely imaginary).  Pass ``frame``, the ``eigenframe`` of
+    ``x``, to reuse its blocks instead of building them again.
     """
-    b1, b2 = _rotation_blocks(x)
+    if frame is None:
+        b1, b2 = _rotation_blocks(x)
+    else:
+        b1, b2 = frame.rotation[:2, :2], frame.rotation[2:, 2:]
     out = np.zeros((4, 4), dtype=complex)
     if axis == "x":
         out[:2, 2:] = b1 @ b2

@@ -1,7 +1,11 @@
 """Command-line behavior: parsing, exit codes, output formats, reproducibility."""
 
+import sys
+
+import numpy as np
 import pytest
 
+from qxcorr import correlations, oracle
 from qxcorr.cli import main
 
 WEAK_FIELD_FLAGS = ["--Jz", "-1", "--r1", "0.5", "--r2", "1", "--B1", "-0.4", "--B2", "0.7"]
@@ -249,6 +253,41 @@ class TestSelftest:
         _, first, _ = run_cli(capsys, "--mode", "selftest")
         _, second, _ = run_cli(capsys, "--mode", "selftest")
         assert first == second
+
+    @pytest.mark.parametrize("seed, deviation", [("20240817", "8.882e-16"), ("7", "1.443e-15")])
+    def test_selftest_output_pinned(self, capsys, seed, deviation):
+        code, out, err = run_cli(capsys, "--mode", "selftest", "--seed", seed)
+        assert (code, err) == (0, "")
+        assert out == f"selftest: 100 states, max |closed - oracle| = {deviation}\nselftest: ok\n"
+
+    def test_selftest_makes_one_oracle_call_per_moment_matrix(self, capsys, monkeypatch):
+        # each function is replaced wherever a qxcorr module binds it, as a
+        # tracer would; the recorded value is the shape of the first argument
+        calls = {}
+        modules = [m for name, m in sys.modules.items() if name == "qxcorr" or name.startswith("qxcorr.")]
+        for home, name in [
+            (oracle, "jacobi_eigh"), (oracle, "validate_density_matrix"), (oracle, "oracle_m_matrix"),
+            (oracle, "oracle_w_matrix"), (oracle, "lambda_max_closed"), (correlations, "lqfi_x"),
+            (correlations, "lqu_x"),
+        ]:
+            original = getattr(home, name)
+            calls[name] = []
+
+            def counting(*args, _original=original, _shapes=calls[name], **kwargs):
+                _shapes.append(np.shape(args[0]))
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        code, _, _ = run_cli(capsys, "--mode", "selftest")
+        assert code == 0
+        assert calls["jacobi_eigh"] == [(100, 4, 4)] * 2
+        assert calls["validate_density_matrix"] == [(100, 4, 4)] * 2
+        assert calls["oracle_m_matrix"] == calls["oracle_w_matrix"] == [(100, 4, 4)]
+        assert calls["lambda_max_closed"] == [(100, 3, 3)] * 2
+        assert len(calls["lqfi_x"]) == len(calls["lqu_x"]) == 100
 
 
 class TestConsoleScript:

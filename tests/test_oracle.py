@@ -215,6 +215,97 @@ class TestMomentMatrices:
             validate_density_matrix(rho)
 
 
+
+def assert_same_bits(stacked, single):
+    stacked, single = np.asarray(stacked), np.asarray(single)
+    assert stacked.dtype == single.dtype and stacked.shape == single.shape
+    assert stacked.tobytes() == single.tobytes()
+
+
+def stack_of_states():
+    """Seeded dephased and phased states, both subnormal cases, a diagonal state
+    and one with a single zero coherence (so that a pivot is zero for some
+    members only)."""
+    rng = np.random.default_rng(389)
+    states = [random_x_state(rng, dephased=dephased) for dephased in (True, False) for _ in range(20)]
+    states.insert(7, XMatrix(a=0.5, b=0.3, c=0.1, d=0.1, u=1e-320, v=0.1))
+    p = XStateParams(Jz=3.36696, r1=1.75083, r2=2.50158, B1=-0.1438, B2=-2.59175, T=0.00969473)
+    states.insert(19, thermal_xmatrix(p))
+    states.insert(30, XMatrix(a=0.1, b=0.4, c=0.2, d=0.3))
+    states.insert(35, XMatrix(a=0.4, b=0.3, c=0.2, d=0.1, v=0.15j))
+    return np.stack([x.as_matrix() for x in states])
+
+
+class TestStacks:
+    """A stack of states gives the same bits as one call per state."""
+
+    def test_jacobi_matches_single_calls(self):
+        rho = stack_of_states()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            evals, evecs = jacobi_eigh(rho)
+            for i, member in enumerate(rho):
+                single_evals, single_evecs = jacobi_eigh(member)
+                assert_same_bits(evals[i], single_evals)
+                assert_same_bits(evecs[i], single_evecs)
+
+    def test_diagonal_member_is_untouched(self):
+        rho = stack_of_states()
+        evals, evecs = jacobi_eigh(rho)
+        assert_same_bits(evals[30], np.array([0.1, 0.2, 0.3, 0.4]))
+        assert_same_bits(evecs[30], np.eye(4, dtype=complex)[:, [0, 2, 3, 1]])
+
+    def test_validation_matches_single_calls(self):
+        rho = stack_of_states()
+        p, v = validate_density_matrix(rho)
+        for i, member in enumerate(rho):
+            single_p, single_v = validate_density_matrix(member)
+            assert_same_bits(p[i], single_p)
+            assert_same_bits(v[i], single_v)
+
+    @pytest.mark.parametrize("matrix_fn", [oracle_m_matrix, oracle_w_matrix])
+    def test_moment_matrices_match_single_calls(self, matrix_fn):
+        rho = stack_of_states()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            k = matrix_fn(rho)
+            top = lambda_max_closed(k)
+        assert k.shape == (len(rho), 3, 3) and top.shape == (len(rho),)
+        for i, member in enumerate(rho):
+            single = matrix_fn(member)
+            assert_same_bits(k[i], single)
+            assert_same_bits(top[i], lambda_max_closed(single))
+
+    def test_stack_of_one_and_nested_stacks(self):
+        rho = stack_of_states()[:12]
+        evals, evecs = jacobi_eigh(rho)
+        one_evals, one_evecs = jacobi_eigh(rho[:1])
+        assert one_evals.shape == (1, 4) and one_evecs.shape == (1, 4, 4)
+        assert_same_bits(one_evals[0], evals[0])
+        assert_same_bits(one_evecs[0], evecs[0])
+        nested_evals, nested_evecs = jacobi_eigh(rho.reshape(3, 4, 4, 4))
+        assert_same_bits(nested_evals, evals.reshape(3, 4, 4))
+        assert_same_bits(nested_evecs, evecs.reshape(3, 4, 4, 4))
+        assert_same_bits(oracle_w_matrix(rho.reshape(2, 6, 4, 4)), oracle_w_matrix(rho).reshape(2, 6, 3, 3))
+
+    def test_non_hermitian_member(self):
+        rho = stack_of_states()
+        rho[5, 0, 1] += 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"not Hermitian \(stack index 5\)"):
+                validate_density_matrix(rho)
+
+    def test_negative_eigenvalue_member(self):
+        rho = stack_of_states()
+        rho[11] = np.diag([0.6, 0.5, -0.05, -0.05])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"negative eigenvalue.*\(stack index 11\)"):
+                validate_density_matrix(rho)
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                oracle_m_matrix(rho)
+
 class TestLambdaMax:
     def test_routes_agree(self):
         rng = np.random.default_rng(347)
