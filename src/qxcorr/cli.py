@@ -32,6 +32,10 @@ EXIT_SELFTEST = 6
 #: closed thermal forms divide by T; queries below this floor must use --T0
 TEMPERATURE_FLOOR = 1e-6
 
+#: caps on --points and --jobs, so that a typo cannot exhaust memory or processes
+MAX_POINTS = 1_000_000
+MAX_JOBS = 64
+
 SELFTEST_STATES = 100
 SELFTEST_TOL = 1e-9
 DEFAULT_SEED = 20240817
@@ -216,6 +220,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         points = get("points")
         if points is None:
             points = 300 if mode == "sweep" else 1000
+        if points > MAX_POINTS:
+            raise DomainError(f"--points must be at most {MAX_POINTS}, got {points}")
         if variable == "T" and start is not None and start < TEMPERATURE_FLOOR:
             raise DomainError(f"temperature sweep start {start!r} is below the {TEMPERATURE_FLOOR} floor")
         try:
@@ -232,8 +238,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         raise ConfigError("--plot-script needs --out to know which file to reference")
     jobs = get("jobs")
     jobs = 1 if jobs is None else int(jobs)
-    if jobs < 1:
-        raise DomainError(f"--jobs must be at least 1, got {jobs}")
+    if not 1 <= jobs <= MAX_JOBS:
+        raise DomainError(f"--jobs must be between 1 and {MAX_JOBS}, got {jobs}")
     seed = get("seed")
     seed = DEFAULT_SEED if seed is None else int(seed)
 

@@ -89,18 +89,21 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
     one pivot are applied with one stacked matmul to the members whose pivot is
     nonzero (the others are left untouched), and a member leaves the iteration
     once it has converged.  A stack therefore gives the same bits as separate
-    calls on its members.
+    calls on its members.  A single matrix skips that bookkeeping and runs the
+    same arithmetic directly (``_jacobi_single``).
     """
     a = np.array(a, dtype=complex)
     n = a.shape[-1] if a.ndim else 0
     if a.ndim < 2 or a.shape[-2] != n:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     batch = a.shape[:-2]
+    pivots = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    rows, cols = np.array(pivots, dtype=int).reshape(-1, 2).T
+    if not batch:
+        return _jacobi_single(a, pivots, rows, cols, tol, max_sweeps)
     a = a.reshape(math.prod(batch), n, n)
     eye = np.eye(n, dtype=complex)[None]
     v = eye.repeat(len(a), axis=0)
-    pivots = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    rows, cols = np.array(pivots, dtype=int).reshape(-1, 2).T
     active = np.arange(len(a))
     for _ in range(max_sweeps):
         upper = a[active[:, None], rows, cols].view(float)
@@ -132,8 +135,34 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
     return evals.reshape(*batch, n), v.reshape(*batch, n, n)
 
 
+def _jacobi_single(a, pivots, rows, cols, tol, max_sweeps):
+    """``jacobi_eigh`` on one matrix: the stacked iteration's arithmetic, step
+    for step, without the member bookkeeping, so the bits are the same."""
+    n = len(a)
+    v = np.eye(n, dtype=complex)
+    for _ in range(max_sweeps):
+        upper = a[rows, cols].view(float)
+        if np.sqrt(2.0 * (upper * upper).sum()) < tol:
+            break
+        for p, q in pivots:
+            if a[p, q] == 0:
+                continue
+            c, g_pq, g_qp = _givens(complex(a[p, q]), float(a[p, p].real), float(a[q, q].real))
+            g = np.eye(n, dtype=complex)
+            g[p, p] = g[q, q] = c
+            g[p, q] = g_pq
+            g[q, p] = g_qp
+            a = g.conj().T @ a @ g
+            v = v @ g
+    else:
+        raise RuntimeError("Jacobi iteration did not converge")
+    evals = np.diagonal(a).real
+    order = np.argsort(evals, kind="stable")
+    return evals[order], v[:, order]
+
+
 def validate_density_matrix(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Check Hermiticity, unit trace and positivity of 4x4 density matrices.
+    """Check finiteness, Hermiticity, unit trace and positivity of 4x4 density matrices.
 
     ``rho`` is one matrix or a stack of shape (..., 4, 4).  Returns the
     eigen-decomposition the positivity check computed: ascending eigenvalues,
@@ -146,6 +175,9 @@ def validate_density_matrix(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected a 4x4 density matrix or a stack of them, got shape {rho.shape}")
     batch = rho.shape[:-2]
     flat = rho.reshape(-1, 4, 4)
+    bad = ~np.isfinite(flat).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError("density matrix has non-finite entries" + _at(batch, int(np.argmax(bad))))
     bad = np.abs(flat - flat.conj().swapaxes(1, 2)).max(axis=(1, 2)) > _HERMITIAN_ATOL
     if bad.any():
         raise ValueError("density matrix is not Hermitian" + _at(batch, int(np.argmax(bad))))
@@ -262,8 +294,83 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([radius * np.cos(theta), radius * np.sin(theta), z])
 
 
-def _bloch_moment(k: np.ndarray, direction: np.ndarray) -> float:
-    return float(direction @ k @ direction)
+def _dot(x, y) -> float:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _cross(x, y) -> tuple[float, float, float]:
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+
+def _unit(x) -> tuple[float, float, float]:
+    norm = math.sqrt(_dot(x, x))
+    return (x[0] / norm, x[1] / norm, x[2] / norm)
+
+
+def _tangent_basis(n) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """Orthonormal e1, e2 spanning the tangent plane of the unit sphere at n."""
+    smallest = min(range(3), key=lambda i: abs(n[i]))
+    axis = tuple(float(i == smallest) for i in range(3))
+    e1 = _unit(_cross(n, axis))
+    return e1, _cross(n, e1)
+
+
+# The polish stops once the tangent gradient is within a few rounding units of
+# the largest entry of K.  The step cap only guards against a stall: from the
+# 2048-point grid start, seeded scans of moment matrices and of symmetric
+# matrices with near-tied top eigenvalues took at most 7 steps.
+_POLISH_GRADIENT_FLOOR = 8.0 * np.finfo(float).eps
+_POLISH_MAX_STEPS = 32
+
+
+def _newton_polish(k: np.ndarray, n) -> tuple[float, tuple[float, float, float]]:
+    """Maximize rho = n.K.n over unit vectors n by Riemannian Newton ascent.
+
+    Starts at the unit vector ``n`` and returns the final rho and n.  Each step
+    takes the tangent basis E = (e1, e2) at n, the gradient g = E^T (K n - rho n)
+    and the 2x2 tangent Hessian H = E^T (K - rho I) E (Absil, Mahony &
+    Sepulchre, Optimization Algorithms on Matrix Manifolds, ch. 6).  Where H
+    is negative definite the step direction d solves H d = -g.  Elsewhere n is
+    near a saddle, or the top two eigenvalues of K are so close that the
+    gradient drowns in rounding, and d is the tangent direction of largest
+    curvature, along which the form rises unless H is negative semidefinite.
+    n then moves to the exact maximum of the form on the great circle through
+    n along d.  Only ascent is accepted.  No eigensolver is called.
+    """
+    rows = k.tolist()
+
+    def apply(x):
+        return (_dot(rows[0], x), _dot(rows[1], x), _dot(rows[2], x))
+
+    floor = _POLISH_GRADIENT_FLOOR * max(abs(x) for row in rows for x in row)
+    kn = apply(n)
+    rho = _dot(n, kn)
+    for _ in range(_POLISH_MAX_STEPS):
+        e1, e2 = _tangent_basis(n)
+        residual = (kn[0] - rho * n[0], kn[1] - rho * n[1], kn[2] - rho * n[2])
+        g1, g2 = _dot(e1, residual), _dot(e2, residual)
+        ke1, ke2 = apply(e1), apply(e2)
+        h11, h12, h22 = _dot(e1, ke1) - rho, _dot(e1, ke2), _dot(e2, ke2) - rho
+        det = h11 * h22 - h12 * h12
+        if h11 < 0.0 and det > 0.0:
+            if math.hypot(g1, g2) <= floor:
+                break
+            d1, d2 = (h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det
+        else:
+            # d.H.d over unit d peaks at this angle
+            phi = 0.5 * math.atan2(2.0 * h12, h11 - h22)
+            d1, d2 = math.cos(phi), math.sin(phi)
+        t = _unit((d1 * e1[0] + d2 * e2[0], d1 * e1[1] + d2 * e2[1], d1 * e1[2] + d2 * e2[2]))
+        # n.K.n on the circle n cos(theta) + t sin(theta) peaks at this theta
+        theta = 0.5 * math.atan2(2.0 * _dot(t, kn), rho - _dot(t, apply(t)))
+        c, s = math.cos(theta), math.sin(theta)
+        step = _unit((c * n[0] + s * t[0], c * n[1] + s * t[1], c * n[2] + s * t[2]))
+        k_step = apply(step)
+        value = _dot(step, k_step)
+        if not value > rho:
+            break
+        n, kn, rho = step, k_step, value
+    return rho, n
 
 
 def minimize_over_observables(
@@ -276,8 +383,9 @@ def minimize_over_observables(
 
     ``which`` selects the moment matrix ("LQFI" -> Fisher, "LQU" -> skew).  The
     grid minimum is deterministic (first minimal grid index wins); the optional
-    Nelder-Mead polish refines it to well below 1e-9 in value.  Must agree with
-    1 - lambda_max of the same matrix.
+    polish, a Riemannian Newton ascent on the sphere from the grid minimum
+    (``_newton_polish``), brings it to rounding level without calling an
+    eigensolver.  Must agree with 1 - lambda_max of the same matrix.
     """
     measure = which.upper()
     if measure == "LQFI":
@@ -293,25 +401,8 @@ def minimize_over_observables(
     best_value = float(values[best])
     if not refine:
         return best_value
-
-    nx, ny, nz = dirs[best]
-    start = np.array([math.acos(min(1.0, max(-1.0, nz))), math.atan2(ny, nx)])
-
-    def objective(angles):
-        th, ph = angles
-        n = np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)])
-        return 1.0 - _bloch_moment(k, n)
-
-    # scipy's only use: imported here so that importing qxcorr does not load it
-    from scipy.optimize import minimize
-
-    result = minimize(
-        objective,
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000},
-    )
-    return min(best_value, float(result.fun))
+    top, _ = _newton_polish(k, tuple(dirs[best].tolist()))
+    return min(best_value, 1.0 - top)
 
 
 def random_x_state(rng: np.random.Generator, dephased: bool = True) -> XMatrix:

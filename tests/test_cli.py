@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qxcorr import correlations, oracle
-from qxcorr.cli import main
+from qxcorr.cli import MAX_JOBS, MAX_POINTS, DomainError, main, parse_config
 
 WEAK_FIELD_FLAGS = ["--Jz", "-1", "--r1", "0.5", "--r2", "1", "--B1", "-0.4", "--B2", "0.7"]
 STRONG_FLAGS = ["--Jz", "1", "--r1", "3.4", "--r2", "3.2", "--B1", "-1.3", "--B2", "1.7"]
@@ -91,6 +91,19 @@ class TestParsing:
         )
         assert code == 3
         assert "fixed --T" in err
+
+    @pytest.mark.parametrize("flag, value", [("--points", MAX_POINTS + 1), ("--jobs", MAX_JOBS + 1)])
+    def test_points_and_jobs_above_their_caps_are_domain_errors(self, flag, value):
+        sweep = ["--mode", "sweep", *WEAK_FIELD_FLAGS, "--T", "1", "--var", "B1", "--from", "-1", "--to", "1"]
+        with pytest.raises(DomainError, match=flag):
+            parse_config([*sweep, flag, str(value)])
+
+    def test_points_and_jobs_at_their_caps_are_accepted(self):
+        config = parse_config([
+            "--mode", "transitions", *WEAK_FIELD_FLAGS, "--var", "T", "--from", "0.5", "--to", "3",
+            "--points", str(MAX_POINTS), "--jobs", str(MAX_JOBS),
+        ])
+        assert config.spec.points == MAX_POINTS and config.jobs == MAX_JOBS
 
     def test_zero_t_flag_outside_eval(self, capsys):
         code, _, err = run_cli(
@@ -329,3 +342,28 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "False"
+
+    def test_runs_leave_scipy_unloaded(self):
+        import subprocess
+        import sys
+
+        script = f"""
+import contextlib, io, sys
+import numpy as np
+from qxcorr import oracle
+from qxcorr.cli import main
+runs = [
+    ["--mode", "eval", *{WEAK_FIELD_FLAGS!r}, "--T", "1"],
+    ["--mode", "sweep", *{STRONG_FLAGS!r}, "--var", "T", "--from", "0.5", "--to", "3", "--points", "20"],
+    ["--mode", "selftest"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+rho = oracle.random_x_state(np.random.default_rng(1), dephased=False).as_matrix()
+for which in ("LQFI", "LQU"):
+    oracle.minimize_over_observables(rho, which)
+print(codes, "scipy" in sys.modules)
+"""
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[0, 0, 0] False"

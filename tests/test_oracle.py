@@ -27,7 +27,7 @@ from qxcorr import (
     thermal_xmatrix,
     validate_density_matrix,
 )
-from qxcorr.oracle import LOCAL_SPIN
+from qxcorr.oracle import LOCAL_SPIN, PAULI
 
 MIXED = np.eye(4, dtype=complex) / 4.0
 BELL = XMatrix(a=0.5, b=0.0, c=0.0, d=0.5, u=0.5).as_matrix()
@@ -115,6 +115,21 @@ class TestValidation:
         bad = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
         with pytest.raises(ValueError):
             validate_density_matrix(bad)
+
+    def test_rejects_non_finite_entries(self):
+        bad = MIXED.copy()
+        bad[0, 3] = bad[3, 0] = np.nan
+        stack = stack_of_states()
+        stack[5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="non-finite"):
+                validate_density_matrix(bad)
+            with pytest.raises(ValueError, match=r"non-finite entries \(stack index 5\)"):
+                validate_density_matrix(stack)
+            for matrix_fn in (oracle_m_matrix, oracle_w_matrix):
+                with pytest.raises(ValueError, match="non-finite"):
+                    matrix_fn(bad)
 
     def test_returns_decomposition(self):
         rng = np.random.default_rng(373)
@@ -318,6 +333,50 @@ class TestLambdaMax:
         assert lambda_max_closed(0.7 * np.eye(3)) == pytest.approx(0.7, abs=1e-15)
 
 
+def bell_diagonal(c1, c2, c3):
+    """(1 + sum_i c_i sigma_i (x) sigma_i) / 4."""
+    rho = np.eye(4, dtype=complex)
+    for c, axis in zip((c1, c2, c3), "xyz"):
+        rho = rho + c * np.kron(PAULI[axis], PAULI[axis])
+    return rho / 4.0
+
+
+def tied_bell_states():
+    """Seeded Bell-diagonal states with two equal correlations, in each slot,
+    so that the top two eigenvalues of both moment matrices nearly tie."""
+    rng = np.random.default_rng(397)
+    states = []
+    while len(states) < 30:
+        c, other = rng.uniform(-1.0, 1.0, size=2)
+        rho = bell_diagonal(*np.roll([c, c, other], len(states) % 3))
+        if jacobi_eigh(rho)[0][0] > 1e-3:
+            states.append(rho)
+    return states
+
+
+def boundary_line_states():
+    """Zero-field thermal states on the branch-tie line r1 + r2 = 2|Jz|."""
+    rng = np.random.default_rng(401)
+    params = [XStateParams(Jz=1.0, r1=1.2, r2=0.8, B1=0.0, B2=0.0, T=0.7)]
+    for _ in range(30):
+        jz = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
+        r1 = rng.uniform(0.0, 2.0 * abs(jz))
+        t = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
+        params.append(XStateParams(Jz=jz, r1=r1, r2=2.0 * abs(jz) - r1, B1=0.0, B2=0.0, T=t))
+    return [thermal_xmatrix(p).as_matrix() for p in params]
+
+
+MEASURES = (("LQFI", oracle_m_matrix), ("LQU", oracle_w_matrix))
+
+
+def assert_polish_matches_jacobi(states):
+    """The polished minimum is 1 - lambda_max of the moment matrix."""
+    for rho in states:
+        for which, matrix_fn in MEASURES:
+            reference = 1.0 - lambda_max_jacobi(matrix_fn(rho))
+            assert abs(minimize_over_observables(rho, which) - reference) <= 1e-13
+
+
 class TestMinimizer:
     def test_sphere_directions_are_unit(self):
         dirs = fibonacci_sphere(2048)
@@ -350,6 +409,83 @@ class TestMinimizer:
     def test_rejects_unknown_measure(self):
         with pytest.raises(ValueError):
             minimize_over_observables(MIXED, "discord")
+
+    @pytest.mark.parametrize("dephased", [True, False])
+    def test_polish_on_random_states(self, dephased):
+        rng = np.random.default_rng(409)
+        assert_polish_matches_jacobi([random_x_state(rng, dephased=dephased).as_matrix() for _ in range(40)])
+
+    def test_polish_at_tied_correlations(self):
+        assert_polish_matches_jacobi(tied_bell_states())
+
+    def test_polish_with_isotropic_moments(self):
+        assert_polish_matches_jacobi([MIXED])
+
+    def test_polish_on_boundary_line(self):
+        assert_polish_matches_jacobi(boundary_line_states())
+
+    def test_near_tied_symmetric_matrices(self):
+        # top two eigenvalues 1 and 1 - gap with gap down to 1e-16: the polish
+        # must not stall where the gradient is lost in rounding
+        rng = np.random.default_rng(431)
+        dirs = fibonacci_sphere(2048)
+        for _ in range(200):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            gap = 10.0 ** rng.uniform(-16.0, 0.0)
+            k = (q * [1.0, 1.0 - gap, rng.uniform(-1.0, 1.0 - gap)]) @ q.T
+            k = 0.5 * (k + k.T)
+            start = dirs[np.argmax(np.einsum("ij,jk,ik->i", dirs, k, dirs))]
+            top, _ = qxcorr.oracle._newton_polish(k, tuple(start.tolist()))
+            assert abs(top - lambda_max_jacobi(k)) <= 1e-13
+
+    def test_polished_direction_is_a_maximum(self, monkeypatch):
+        # at a maximum of n.K.n the tangent Hessian E^T (K - rho I) E is
+        # negative semidefinite: trace <= 0 and determinant >= 0
+        polished = []
+        original = qxcorr.oracle._newton_polish
+
+        def recording(k, n):
+            result = original(k, n)
+            polished.append((k, *result))
+            return result
+
+        monkeypatch.setattr(qxcorr.oracle, "_newton_polish", recording)
+        rng = np.random.default_rng(419)
+        states = [random_x_state(rng, dephased=False).as_matrix() for _ in range(20)]
+        for rho in states + tied_bell_states() + boundary_line_states() + [MIXED]:
+            for which, _ in MEASURES:
+                value = minimize_over_observables(rho, which)
+                k, top, n = polished[-1]
+                n = np.array(n)
+                assert value == pytest.approx(1.0 - top, abs=1e-15)
+                assert abs(n @ n - 1.0) < 1e-15
+                helper = np.eye(3)[np.argmin(np.abs(n))]
+                e1 = np.cross(n, helper)
+                e1 /= math.sqrt(e1 @ e1)
+                e = np.column_stack([e1, np.cross(n, e1)])
+                h = e.T @ (k - top * np.eye(3)) @ e
+                scale = np.abs(k).max()
+                assert h[0, 0] + h[1, 1] <= 1e-14 * scale
+                assert h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0] >= -1e-14 * scale**2
+
+    def test_no_eigensolver_in_the_polish(self, monkeypatch):
+        calls = []
+        original = qxcorr.oracle.jacobi_eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy eigensolver called")
+
+        monkeypatch.setattr(qxcorr.oracle, "jacobi_eigh", counting)
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        rho = random_x_state(np.random.default_rng(421), dephased=False).as_matrix()
+        for which, _ in MEASURES:
+            minimize_over_observables(rho, which)
+        assert calls == [(4, 4), (4, 4)]
 
 
 class TestRandomStates:
