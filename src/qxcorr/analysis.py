@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .correlations import BranchPair, lqfi_thermal, lqu_thermal
@@ -109,8 +108,7 @@ def _at(base: XStateParams, variable: str, value: float) -> XStateParams:
     return dataclasses.replace(base, **{variable: value})
 
 
-def _row(args: tuple[XStateParams, str, float]) -> SweepRow:
-    base, variable, value = args
+def _row(base: XStateParams, variable: str, value: float) -> SweepRow:
     p = _at(base, variable, value)
     f = lqfi_thermal(p)
     u = lqu_thermal(p)
@@ -127,22 +125,18 @@ def _row(args: tuple[XStateParams, str, float]) -> SweepRow:
     )
 
 
-def _grid_rows(spec: SweepSpec, jobs: int) -> list[SweepRow]:
-    """Rows for every grid point, in grid order; ``jobs`` > 1 uses a process pool."""
-    tasks = [(spec.base, spec.variable, value) for value in spec.grid()]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_row, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
-    return [_row(t) for t in tasks]
+def _grid_rows(spec: SweepSpec) -> list[SweepRow]:
+    """Rows for every grid point, in grid order, evaluated in this process."""
+    return [_row(spec.base, spec.variable, value) for value in spec.grid()]
 
 
 def sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
     """Evaluate the thermal closed forms on the grid, in grid order.
 
-    ``jobs`` > 1 farms grid points out to a process pool; assembly order is
-    the grid order either way.
+    ``jobs`` is accepted for compatibility and ignored: every grid is
+    evaluated in this process.
     """
-    return _grid_rows(spec, jobs)
+    return _grid_rows(spec)
 
 
 def _branch_gap(base: XStateParams, variable: str, measure: str, value: float) -> float:
@@ -178,9 +172,10 @@ def find_transitions(spec: SweepSpec, jobs: int = 1) -> list[TransitionPoint]:
     The grid is scanned for sign changes of the (smooth) branch difference;
     each bracket is bisected down to ``BISECTION_WIDTH``.  Tangential contacts
     without a sign change are not reported.  Results are ordered by location.
+    ``jobs`` is accepted for compatibility and ignored, as in ``sweep``.
     """
     grid = spec.grid()
-    rows = _grid_rows(spec, jobs)
+    rows = _grid_rows(spec)
 
     found: list[TransitionPoint] = []
     for measure in ("LQFI", "LQU"):

@@ -32,8 +32,10 @@ EXIT_SELFTEST = 6
 #: closed thermal forms divide by T; queries below this floor must use --T0
 TEMPERATURE_FLOOR = 1e-6
 
-#: caps on --points and --jobs, so that a typo cannot exhaust memory or processes
+#: cap on --points, so that a typo cannot exhaust memory
 MAX_POINTS = 1_000_000
+#: upper end of the accepted --jobs range; the option has no effect, and the
+#: range is validated so that scripts and config files passing it are checked
 MAX_JOBS = 64
 
 SELFTEST_STATES = 100
@@ -88,7 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=None)
     ap.add_argument("--format", choices=("csv", "tsv"), default=None)
     ap.add_argument("--plot-script", action="store_true", default=None, dest="plot_script")
-    ap.add_argument("--jobs", type=int, default=None)
+    ap.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help=f"accepted for compatibility (1..{MAX_JOBS}); has no effect, every grid runs in-process",
+    )
     ap.add_argument("--seed", type=int, default=None)
     return ap
 
@@ -293,8 +298,10 @@ def _run_eval(config: RunConfig) -> int:
                 print(f"{which},indeterminate")
         return EXIT_OK
     sep = "," if config.fmt == "csv" else "\t"
+    # evaluate first, so that a refused point writes nothing to stdout
+    row = _row(config.params, "T", config.params.T)
     print(_header("T", sep))
-    print(_row_line(_row((config.params, "T", config.params.T)), sep))
+    print(_row_line(row, sep))
     return EXIT_OK
 
 

@@ -78,6 +78,13 @@ class BranchPair:
 
     @classmethod
     def from_branches(cls, branch0: float, branch1: float) -> "BranchPair":
+        """Clip both branches to [0, 1] and label the smaller one.
+
+        A non-finite branch (overflow or cancellation far outside the unit
+        energy scale) raises ValueError instead of yielding a ``nan`` value.
+        """
+        if not (math.isfinite(branch0) and math.isfinite(branch1)):
+            raise ValueError(f"non-finite branch: branch0={branch0!r}, branch1={branch1!r}")
         b0 = _clip01(branch0)
         b1 = _clip01(branch1)
         if abs(b0 - b1) < BOUNDARY_TOL:

@@ -147,6 +147,19 @@ class TestEval:
         assert code == 0
         assert "indeterminate" in out
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("exponent", [154, 200])
+    def test_non_finite_branch_is_domain_error_with_empty_stdout(self, capsys, exponent):
+        # the strong-exchange point scaled by 10**exponent overflows branch 1
+        scaled = [
+            f"--{name}={mantissa}e{exponent}"
+            for name, mantissa in (("Jz", "1"), ("r1", "3.4"), ("r2", "3.2"), ("B1", "-1.3"), ("B2", "1.7"))
+        ]
+        code, out, err = run_cli(capsys, "--mode", "eval", *scaled, f"--T=8e{exponent - 1}")
+        assert code == 4
+        assert out == ""
+        assert "non-finite" in err
+
 
 class TestSweepOutput:
     def test_csv_columns_and_formatting(self, capsys, tmp_path):
@@ -342,6 +355,22 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "False"
+
+    def test_runs_leave_pool_machinery_unloaded(self):
+        import subprocess
+        import sys
+
+        script = f"""
+import contextlib, io, sys
+from qxcorr.cli import main
+cut = [*{STRONG_FLAGS!r}, "--var", "T", "--from", "0.5", "--to", "3", "--jobs", "2"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["--mode", "sweep", *cut, "--points", "30"]), main(["--mode", "transitions", *cut])]
+print(codes, sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+"""
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[0, 0] []"
 
     def test_runs_leave_scipy_unloaded(self):
         import subprocess

@@ -31,7 +31,7 @@ from qxcorr import (
     w_eigenvalues,
     w_eigenvalues_raw,
 )
-from qxcorr.correlations import _frame_eigenvalues_and_spins
+from qxcorr.correlations import BranchPair, _frame_eigenvalues_and_spins
 
 MIXED = XMatrix(a=0.25, b=0.25, c=0.25, d=0.25)
 BELL = XMatrix(a=0.5, b=0.0, c=0.0, d=0.5, u=0.5)
@@ -118,6 +118,17 @@ def test_raw_forms_match_pair_loops(dephased):
             (w_eigenvalues_raw(x), skew_pair_loop(lam, spins)),
         ):
             assert np.abs(np.array([raw.xx, raw.yy, raw.zz]) - np.diag(ref)).max() < 1e-14
+
+
+class TestBranchPair:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "branch0, branch1",
+        [(float("nan"), 0.1), (0.1, float("inf")), (float("-inf"), 0.1), (float("nan"), float("nan"))],
+    )
+    def test_non_finite_branch_raises(self, branch0, branch1):
+        with pytest.raises(ValueError, match="non-finite"):
+            BranchPair.from_branches(branch0, branch1)
 
 
 class TestOrderings:
