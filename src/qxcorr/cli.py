@@ -43,11 +43,14 @@ SELFTEST_TOL = 1e-9
 DEFAULT_SEED = 20240817
 
 _MODES = ("eval", "sweep", "transitions", "selftest")
+_FORMATS = ("csv", "tsv")
 _NUMBER_KEYS = ("Jx", "Jy", "Jz", "Dz", "Gz", "B1", "B2", "r1", "r2", "T", "from", "to")
 _INT_KEYS = ("points", "jobs", "seed")
 _BOOL_KEYS = ("T0", "plot-script")
 _STRING_KEYS = ("mode", "var", "out", "format")
 _ALL_KEYS = set(_NUMBER_KEYS) | set(_INT_KEYS) | set(_BOOL_KEYS) | set(_STRING_KEYS)
+#: string keys whose flags take a fixed set of values; a config file must use the same
+_CHOICES = {"mode": _MODES, "var": SWEEP_VARIABLES, "format": _FORMATS}
 
 _FULL_ONLY = ("Jx", "Jy", "Dz", "Gz")
 _REDUCED_ONLY = ("r1", "r2")
@@ -88,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--to", dest="stop", type=float, default=None)
     ap.add_argument("--points", type=int, default=None)
     ap.add_argument("--out", default=None)
-    ap.add_argument("--format", choices=("csv", "tsv"), default=None)
+    ap.add_argument("--format", choices=_FORMATS, default=None)
     ap.add_argument("--plot-script", action="store_true", default=None, dest="plot_script")
     ap.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -130,6 +133,9 @@ def _read_config_file(path: str) -> dict:
             if low not in ("true", "false"):
                 raise ConfigError(f"{path}:{lineno}: expected true/false for {key}, got {value!r}")
             values[key] = low == "true"
+        elif key in _CHOICES and value not in _CHOICES[key]:
+            choices = ", ".join(_CHOICES[key])
+            raise ConfigError(f"{path}:{lineno}: {key} must be one of {choices}, got {value!r}")
         else:
             values[key] = value
     return values
@@ -165,8 +171,6 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         ap.print_usage(sys.stderr)
         print("qxcorr: error: --mode is required", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    if mode not in _MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
 
     full_given = [k for k in _FULL_ONLY if get(k) is not None]
     reduced_given = [k for k in _REDUCED_ONLY if get(k) is not None]

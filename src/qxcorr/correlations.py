@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import oracle_w_matrix, spectral_moments
-from .xalgebra import XSpectrum, eigenframe, local_spin_in_eigenbasis, spectrum
+from .xalgebra import eigenframe, local_spin_in_eigenbasis, spectrum
 from .xmodel import XMatrix, XStateParams, _shifted_weights, dephase, gibbs_xstate, realize
 
 __all__ = [
@@ -134,15 +134,14 @@ def _transverse_moment_scale(p1: float, p2: float, p3: float, p4: float) -> floa
     return 4.0 * weight / pair_products
 
 
-def m_eigenvalues(x: XMatrix, s: XSpectrum | None = None) -> MomentDiagonal:
-    """Simplified closed forms for the Fisher moment diagonal.
+def m_eigenvalues(x: XMatrix) -> MomentDiagonal:
+    """Simplified closed forms for the Fisher moment diagonal, from ``spectrum(x)``.
 
     Exactly empty blocks contribute zero to the zz entry; the transverse
     entries run through the guarded factored weight shared with the thermal
     route.
     """
-    if s is None:
-        s = spectrum(x)
+    s = spectrum(x)
     u = abs(x.u)
     v = abs(x.v)
     ad = x.a + x.d
@@ -179,10 +178,9 @@ def _degenerate_ratio(num: float, den: float) -> float:
     raise _OracleFallback
 
 
-def w_eigenvalues(x: XMatrix, s: XSpectrum | None = None) -> MomentDiagonal:
-    """Simplified closed forms for the skew-information moment diagonal."""
-    if s is None:
-        s = spectrum(x)
+def w_eigenvalues(x: XMatrix) -> MomentDiagonal:
+    """Simplified closed forms for the skew moment diagonal, from ``spectrum(x)``."""
+    s = spectrum(x)
     u = abs(x.u)
     v = abs(x.v)
     sp12 = math.sqrt(s.p1) + math.sqrt(s.p2)
@@ -216,8 +214,8 @@ def _frame_eigenvalues_and_spins(x: XMatrix):
             [u, 0.0, 0.0, x.d],
         ]
     )
-    conj = frame.rotation @ frame.permutation @ dephased @ frame.permutation @ frame.rotation
-    lam = np.clip(np.diag(conj), 0.0, None)
+    f = frame.permutation @ frame.rotation
+    lam = np.clip(np.diag(f.T @ dephased @ f), 0.0, None)
     spins = {axis: local_spin_in_eigenbasis(x, axis, frame) for axis in ("x", "y", "z")}
     return lam, spins
 

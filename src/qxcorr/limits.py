@@ -89,19 +89,19 @@ def high_t_series(p: XStateParams, which: str, order: int | None = None) -> Seri
     return SeriesValue(value=value, order=order)
 
 
-def zero_t_limit(p: XStateParams, which: str, tol: float = DEGENERATE_SURFACE_TOL) -> float:
+def zero_t_limit(p: XStateParams, which: str) -> float:
     """Zero-temperature value of a branch (temperature field of ``p`` unused).
 
     The 0-branches tend to (r1/R1)^2 or (r2/R2)^2 depending on which level
-    sector wins at low temperature; the 1-branch of LQU saturates at 1.  On the
-    degenerate hypersurface R1 = R2 + 2 Jz the limit is undefined and
-    :class:`IndeterminateZeroTemperatureLimit` is raised.
+    sector wins at low temperature; the 1-branch of LQU saturates at 1.  Within
+    ``DEGENERATE_SURFACE_TOL`` of the hypersurface R1 = R2 + 2 Jz the limit is
+    undefined and :class:`IndeterminateZeroTemperatureLimit` is raised.
     """
     if which not in ("F0", "U0", "U1"):
         raise ValueError(f"zero-temperature limit is defined for F0, U0, U1; got {which!r}")
     R1, R2 = _radii(p)
     gap = R1 - (R2 + 2.0 * p.Jz)
-    if abs(gap) < tol:
+    if abs(gap) < DEGENERATE_SURFACE_TOL:
         raise IndeterminateZeroTemperatureLimit(
             f"R1 - (R2 + 2*Jz) = {gap!r} lies on the degenerate hypersurface"
         )

@@ -27,6 +27,7 @@ __all__ = [
     "lambda_max_closed",
     "lambda_max_jacobi",
     "fibonacci_sphere",
+    "SPHERE_GRID",
     "minimize_over_observables",
     "random_x_state",
 ]
@@ -45,6 +46,9 @@ _AXES = ("x", "y", "z")
 # Spectral-sum terms with total pair weight below this are excluded, matching
 # the exact-zero restriction of the defining sum at float resolution.
 PAIR_WEIGHT_CUTOFF = 1e-14
+
+_JACOBI_TOL = 1e-14
+_JACOBI_MAX_SWEEPS = 100
 
 _HERMITIAN_ATOL = 1e-12
 _TRACE_ATOL = 1e-12
@@ -75,14 +79,14 @@ def _givens(apq: complex, app: float, aqq: float) -> tuple[float, complex, compl
     return c, s * phase, -s * phase.conjugate()
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
+def jacobi_eigh(a: np.ndarray):
     """Eigen-decomposition of Hermitian matrices by cyclic complex Jacobi.
 
     ``a`` is one n x n matrix or a stack of shape (..., n, n).  Deterministic
     and dependency-free; adequate for the tiny matrices used here.  Returns
     eigenvalues in ascending order, shape (..., n), and the matching
-    eigenvector columns, shape (..., n, n).  ``tol`` bounds each member's final
-    off-diagonal Frobenius norm.
+    eigenvector columns, shape (..., n, n).  Each member's final off-diagonal
+    Frobenius norm is below 1e-14, or RuntimeError is raised after 100 sweeps.
 
     Every member is rotated as if it were alone: the rotation parameters are
     formed member by member in scalar arithmetic, the dense Givens rotations of
@@ -100,15 +104,15 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
     pivots = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     rows, cols = np.array(pivots, dtype=int).reshape(-1, 2).T
     if not batch:
-        return _jacobi_single(a, pivots, rows, cols, tol, max_sweeps)
+        return _jacobi_single(a, pivots, rows, cols)
     a = a.reshape(math.prod(batch), n, n)
     eye = np.eye(n, dtype=complex)[None]
     v = eye.repeat(len(a), axis=0)
     active = np.arange(len(a))
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         upper = a[active[:, None], rows, cols].view(float)
         off = np.sqrt(2.0 * (upper * upper).sum(axis=1))
-        active = active[~(off < tol)]
+        active = active[~(off < _JACOBI_TOL)]
         if not active.size:
             break
         for p, q in pivots:
@@ -135,14 +139,14 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
     return evals.reshape(*batch, n), v.reshape(*batch, n, n)
 
 
-def _jacobi_single(a, pivots, rows, cols, tol, max_sweeps):
+def _jacobi_single(a, pivots, rows, cols):
     """``jacobi_eigh`` on one matrix: the stacked iteration's arithmetic, step
     for step, without the member bookkeeping, so the bits are the same."""
     n = len(a)
     v = np.eye(n, dtype=complex)
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         upper = a[rows, cols].view(float)
-        if np.sqrt(2.0 * (upper * upper).sum()) < tol:
+        if np.sqrt(2.0 * (upper * upper).sum()) < _JACOBI_TOL:
             break
         for p, q in pivots:
             if a[p, q] == 0:
@@ -294,6 +298,11 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([radius * np.cos(theta), radius * np.sin(theta), z])
 
 
+#: the 2048 Bloch directions ``minimize_over_observables`` scans, built once
+SPHERE_GRID = fibonacci_sphere(2048)
+SPHERE_GRID.flags.writeable = False
+
+
 def _dot(x, y) -> float:
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
@@ -373,17 +382,12 @@ def _newton_polish(k: np.ndarray, n) -> tuple[float, tuple[float, float, float]]
     return rho, n
 
 
-def minimize_over_observables(
-    rho: np.ndarray,
-    which: str,
-    grid_points: int = 2048,
-    refine: bool = True,
-) -> float:
+def minimize_over_observables(rho: np.ndarray, which: str, refine: bool = True) -> float:
     """Minimize 1 - n.K.n over unit Bloch vectors n by grid search plus polish.
 
     ``which`` selects the moment matrix ("LQFI" -> Fisher, "LQU" -> skew).  The
-    grid minimum is deterministic (first minimal grid index wins); the optional
-    polish, a Riemannian Newton ascent on the sphere from the grid minimum
+    minimum over ``SPHERE_GRID`` is deterministic (first minimal index wins);
+    the optional polish, a Riemannian Newton ascent from the grid minimum
     (``_newton_polish``), brings it to rounding level without calling an
     eigensolver.  Must agree with 1 - lambda_max of the same matrix.
     """
@@ -395,13 +399,12 @@ def minimize_over_observables(
     else:
         raise ValueError(f"which must be 'LQFI' or 'LQU', got {which!r}")
 
-    dirs = fibonacci_sphere(grid_points)
-    values = 1.0 - np.einsum("ij,jk,ik->i", dirs, k, dirs)
+    values = 1.0 - np.einsum("ij,jk,ik->i", SPHERE_GRID, k, SPHERE_GRID)
     best = int(np.argmin(values))
     best_value = float(values[best])
     if not refine:
         return best_value
-    top, _ = _newton_polish(k, tuple(dirs[best].tolist()))
+    top, _ = _newton_polish(k, tuple(SPHERE_GRID[best].tolist()))
     return min(best_value, 1.0 - top)
 
 

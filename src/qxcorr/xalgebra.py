@@ -3,8 +3,8 @@
 An X matrix splits into two 2x2 blocks under the permutation that swaps the
 second and fourth basis states.  Each block is diagonalized by a symmetric
 rotation built from the block eigenvector components, giving closed forms for
-the eigenvalues, the transforms, and the conjugated single-qubit spin operators
-that the correlation formulas consume.
+the eigenvalues and the transforms.  The oracle's single-qubit spin operators
+conjugated into that frame feed the raw spectral-sum cross-check.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .oracle import LOCAL_SPIN
 from .xmodel import XMatrix
 
 __all__ = [
@@ -47,8 +48,6 @@ BLOCK_PERMUTATION = np.array(
         [0.0, 1.0, 0.0, 0.0],
     ]
 )
-
-_SIGMA_Z_2 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -108,14 +107,14 @@ def spectrum(x: XMatrix) -> XSpectrum:
     return XSpectrum(p1=p1, p2=p2, p3=p3, p4=p4, q1=q1, q2=q2)
 
 
-def _rotation_blocks(x: XMatrix, s: XSpectrum | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The two symmetric 2x2 rotations diagonalizing the permuted X matrix.
+def _rotation_blocks(x: XMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The two symmetric 2x2 rotations diagonalizing the permuted X matrix,
+    built from ``spectrum(x)``.
 
     A block with q^2 + coherence^2 below ``DEGENERACY_THRESHOLD`` is already
     proportional to identity (or diagonal), so its rotation is the identity.
     """
-    if s is None:
-        s = spectrum(x)
+    s = spectrum(x)
     u = abs(x.u)
     v = abs(x.v)
     blocks = []
@@ -154,26 +153,16 @@ def eigenframe(x: XMatrix) -> EigenFrame:
 def local_spin_in_eigenbasis(x: XMatrix, axis: str, frame: EigenFrame | None = None) -> np.ndarray:
     """Pauli operator on qubit A, written in the eigenbasis of the X matrix.
 
-    Equivalent to rotation @ permutation @ (sigma_axis x I) @ permutation @
-    rotation, assembled from the closed-form 2x2 blocks.  The x and y results
+    With f = permutation @ rotation, the ``eigenframe`` of ``x`` as one
+    orthogonal matrix, this is f.T @ LOCAL_SPIN[axis] @ f: the same sigma_axis
+    x I the oracle conjugates into its Jacobi eigenbasis.  The x and y results
     are block-anti-diagonal, z is block-diagonal.  Returned as complex128 (the
     y matrix is purely imaginary).  Pass ``frame``, the ``eigenframe`` of
-    ``x``, to reuse its blocks instead of building them again.
+    ``x``, to reuse it instead of building it again.
     """
-    if frame is None:
-        b1, b2 = _rotation_blocks(x)
-    else:
-        b1, b2 = frame.rotation[:2, :2], frame.rotation[2:, 2:]
-    out = np.zeros((4, 4), dtype=complex)
-    if axis == "x":
-        out[:2, 2:] = b1 @ b2
-        out[2:, :2] = b2 @ b1
-    elif axis == "y":
-        out[:2, 2:] = -1j * (b1 @ _SIGMA_Z_2 @ b2)
-        out[2:, :2] = 1j * (b2 @ _SIGMA_Z_2 @ b1)
-    elif axis == "z":
-        out[:2, :2] = b1 @ _SIGMA_Z_2 @ b1
-        out[2:, 2:] = -(b2 @ _SIGMA_Z_2 @ b2)
-    else:
+    if axis not in LOCAL_SPIN:
         raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
-    return out
+    if frame is None:
+        frame = eigenframe(x)
+    f = frame.permutation @ frame.rotation
+    return f.T @ LOCAL_SPIN[axis] @ f

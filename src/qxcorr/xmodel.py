@@ -133,19 +133,20 @@ class XMatrix:
         )
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, atol: float = XMATRIX_ATOL) -> "XMatrix":
-        """Build from a dense 4x4 matrix, rejecting entries off the X pattern."""
+    def from_matrix(cls, m: np.ndarray) -> "XMatrix":
+        """Build from a dense 4x4 matrix, rejecting entries off the X pattern beyond XMATRIX_ATOL."""
         m = np.asarray(m, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         mask = np.ones((4, 4), dtype=bool)
         for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)):
             mask[i, j] = False
-        if np.abs(m[mask]).max() > atol:
+        if np.abs(m[mask]).max() > XMATRIX_ATOL:
             raise ValueError("matrix has entries outside the X pattern")
-        if np.abs(np.diag(m).imag).max() > atol:
+        if np.abs(np.diag(m).imag).max() > XMATRIX_ATOL:
             raise ValueError("diagonal of an X density matrix must be real")
-        if abs(m[3, 0] - np.conj(m[0, 3])) > atol or abs(m[2, 1] - np.conj(m[1, 2])) > atol:
+        mismatch = (abs(m[3, 0] - np.conj(m[0, 3])), abs(m[2, 1] - np.conj(m[1, 2])))
+        if mismatch[0] > XMATRIX_ATOL or mismatch[1] > XMATRIX_ATOL:
             raise ValueError("anti-diagonal entries are not Hermitian conjugates")
         return cls(
             a=float(m[0, 0].real),

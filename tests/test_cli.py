@@ -57,6 +57,21 @@ class TestParsing:
         assert code == 3
         assert "malformed" in err
 
+    def test_config_format_outside_the_flag_choices(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("mode = eval\nJz = 1\nr1 = 1\nr2 = 1\nT = 1\nformat = xml\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "--config", str(cfg))
+        assert code == 3
+        assert out == ""
+        assert "format must be one of csv, tsv" in err
+
+    def test_config_var_outside_the_flag_choices(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("mode = sweep\nJz = 1\nr1 = 1\nr2 = 1\nvar = Q\nfrom = 0\nto = 1\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "--config", str(cfg))
+        assert code == 3
+        assert "var must be one of T, B1, B2, r1, r2, Jz" in err
+
     def test_flags_override_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "point.cfg"
         cfg.write_text(

@@ -383,6 +383,20 @@ class TestMinimizer:
         assert dirs.shape == (2048, 3)
         assert np.abs(np.linalg.norm(dirs, axis=1) - 1.0).max() < 1e-12
 
+    def test_grid_is_a_read_only_constant(self, monkeypatch):
+        expected = fibonacci_sphere(2048)
+
+        def forbidden(n):
+            raise AssertionError("grid rebuilt")
+
+        monkeypatch.setattr(qxcorr.oracle, "fibonacci_sphere", forbidden)
+        rho = random_x_state(np.random.default_rng(433), dephased=False).as_matrix()
+        for which, _ in MEASURES:
+            for refine in (True, False):
+                minimize_over_observables(rho, which, refine=refine)
+        assert np.array_equal(qxcorr.oracle.SPHERE_GRID, expected)
+        assert not qxcorr.oracle.SPHERE_GRID.flags.writeable
+
     def test_trivial_states(self):
         assert minimize_over_observables(MIXED, "LQFI") == pytest.approx(0.0, abs=1e-9)
         assert minimize_over_observables(BELL, "LQU") == pytest.approx(1.0, abs=1e-9)
