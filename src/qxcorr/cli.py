@@ -8,9 +8,11 @@ locale-independent and byte-reproducible for identical configurations.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,22 +44,50 @@ SELFTEST_STATES = 100
 SELFTEST_TOL = 1e-9
 DEFAULT_SEED = 20240817
 
-_MODES = ("eval", "sweep", "transitions", "selftest")
-_FORMATS = ("csv", "tsv")
-_NUMBER_KEYS = ("Jx", "Jy", "Jz", "Dz", "Gz", "B1", "B2", "r1", "r2", "T", "from", "to")
-_INT_KEYS = ("points", "jobs", "seed")
-_BOOL_KEYS = ("T0", "plot-script")
-_STRING_KEYS = ("mode", "var", "out", "format")
-_ALL_KEYS = set(_NUMBER_KEYS) | set(_INT_KEYS) | set(_BOOL_KEYS) | set(_STRING_KEYS)
-#: string keys whose flags take a fixed set of values; a config file must use the same
-_CHOICES = {"mode": _MODES, "var": SWEEP_VARIABLES, "format": _FORMATS}
-
 _FULL_ONLY = ("Jx", "Jy", "Dz", "Gz")
 _REDUCED_ONLY = ("r1", "r2")
 
 
+class _Option(NamedTuple):
+    """Type, choices and help text of the flag ``--<key>``; every key but
+    ``config`` is also a config-file line ``<key> = value``, read the same way.
+
+    bool options are switches on the command line and true/false in a file.
+    """
+
+    type: type = float
+    choices: tuple[str, ...] | None = None
+    metavar: str | None = None
+    help: str | None = None
+
+
+#: every option, in --help order
+_OPTIONS = {
+    "mode": _Option(str, ("eval", "sweep", "transitions", "selftest")),
+    "config": _Option(str, metavar="FILE", help="key = value file; flags override"),
+    **{name: _Option() for name in ("Jx", "Jy", "Jz", "Dz", "Gz", "B1", "B2", "r1", "r2", "T")},
+    "T0": _Option(bool, help="zero-temperature limits (eval mode)"),
+    "var": _Option(str, SWEEP_VARIABLES),
+    "from": _Option(metavar="START"),
+    "to": _Option(metavar="STOP"),
+    "points": _Option(int),
+    "out": _Option(str),
+    "format": _Option(str, ("csv", "tsv")),
+    "plot-script": _Option(bool),
+    "jobs": _Option(
+        int, metavar="N",
+        help=f"accepted for compatibility (1..{MAX_JOBS}); has no effect, every grid runs in-process",
+    ),
+    "seed": _Option(int),
+}
+
+
 class ConfigError(Exception):
     """Invalid or conflicting configuration (exit code 3)."""
+
+
+class DomainError(ValueError):
+    """Parameter outside its physical domain (exit code 4)."""
 
 
 @dataclass(frozen=True)
@@ -73,7 +103,9 @@ class RunConfig:
     seed: int
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use and cached (a first build takes ~3 ms)."""
     ap = argparse.ArgumentParser(
         prog="qxcorr",
         description=(
@@ -81,23 +113,14 @@ def _build_parser() -> argparse.ArgumentParser:
             "thermal two-qubit X states."
         ),
     )
-    ap.add_argument("--mode", choices=_MODES, default=None)
-    ap.add_argument("--config", default=None, metavar="FILE", help="key = value file; flags override")
-    for name in ("Jx", "Jy", "Jz", "Dz", "Gz", "B1", "B2", "r1", "r2", "T"):
-        ap.add_argument(f"--{name}", type=float, default=None)
-    ap.add_argument("--T0", action="store_true", default=None, help="zero-temperature limits (eval mode)")
-    ap.add_argument("--var", choices=list(SWEEP_VARIABLES), default=None)
-    ap.add_argument("--from", dest="start", type=float, default=None)
-    ap.add_argument("--to", dest="stop", type=float, default=None)
-    ap.add_argument("--points", type=int, default=None)
-    ap.add_argument("--out", default=None)
-    ap.add_argument("--format", choices=_FORMATS, default=None)
-    ap.add_argument("--plot-script", action="store_true", default=None, dest="plot_script")
-    ap.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help=f"accepted for compatibility (1..{MAX_JOBS}); has no effect, every grid runs in-process",
-    )
-    ap.add_argument("--seed", type=int, default=None)
+    for key, option in _OPTIONS.items():
+        if option.type is bool:
+            ap.add_argument(f"--{key}", dest=key, action="store_true", default=None, help=option.help)
+        else:
+            ap.add_argument(
+                f"--{key}", dest=key, type=option.type, choices=option.choices,
+                default=None, metavar=option.metavar, help=option.help,
+            )
     return ap
 
 
@@ -116,41 +139,24 @@ def _read_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        option = _OPTIONS.get(key)
+        if option is None or key == "config":
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in _NUMBER_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: malformed number {value!r} for {key}") from exc
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: malformed integer {value!r} for {key}") from exc
-        elif key in _BOOL_KEYS:
+        if option.type is bool:
             low = value.lower()
             if low not in ("true", "false"):
                 raise ConfigError(f"{path}:{lineno}: expected true/false for {key}, got {value!r}")
             values[key] = low == "true"
-        elif key in _CHOICES and value not in _CHOICES[key]:
-            choices = ", ".join(_CHOICES[key])
+        elif option.choices is not None and value not in option.choices:
+            choices = ", ".join(option.choices)
             raise ConfigError(f"{path}:{lineno}: {key} must be one of {choices}, got {value!r}")
         else:
-            values[key] = value
+            try:
+                values[key] = option.type(value)
+            except ValueError as exc:
+                kind = "number" if option.type is float else "integer"
+                raise ConfigError(f"{path}:{lineno}: malformed {kind} {value!r} for {key}") from exc
     return values
-
-
-def _merged_value(args: argparse.Namespace, file_values: dict, key: str, attr: str | None = None):
-    """Command-line flags override config-file values."""
-    flag = getattr(args, attr if attr is not None else key)
-    if flag is not None:
-        return flag
-    return file_values.get(key)
-
-
-class DomainError(ValueError):
-    """Parameter outside its physical domain (exit code 4)."""
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
@@ -159,102 +165,88 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     Raises SystemExit(2) for usage problems (argparse), ConfigError for
     configuration problems, DomainError for out-of-domain values.
     """
-    ap = _build_parser()
-    args = ap.parse_args(argv)
-    file_values = _read_config_file(args.config) if args.config else {}
+    args = _build_parser().parse_args(argv)
+    given = _read_config_file(args.config) if args.config else {}
+    given.update((key, value) for key, value in vars(args).items() if value is not None)
+    try:
+        return _checked_config(given)
+    except ValueError as exc:  # the domain checks of _checked_config and the model constructors
+        raise DomainError(str(exc)) from exc
 
-    def get(key: str, attr: str | None = None):
-        return _merged_value(args, file_values, key, attr)
 
+def _checked_config(given: dict) -> RunConfig:
+    """RunConfig from the merged option values; a value outside its domain raises ValueError."""
+    get = given.get
     mode = get("mode")
     if mode is None:
-        ap.print_usage(sys.stderr)
+        _build_parser().print_usage(sys.stderr)
         print("qxcorr: error: --mode is required", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
-    full_given = [k for k in _FULL_ONLY if get(k) is not None]
-    reduced_given = [k for k in _REDUCED_ONLY if get(k) is not None]
+    full_given = [k for k in _FULL_ONLY if k in given]
+    reduced_given = [k for k in _REDUCED_ONLY if k in given]
     if full_given and reduced_given:
         raise ConfigError(
             f"conflicting parameter sets: full-Hamiltonian keys {full_given} "
             f"cannot be combined with reduced keys {reduced_given}"
         )
 
-    zero_t = bool(get("T0", "T0"))
+    zero_t = get("T0", False)
     if zero_t and mode != "eval":
         raise ConfigError("--T0 applies to eval mode only")
+    variable = get("var")
     t_value = get("T")
     if t_value is None:
         if mode == "eval" and not zero_t:
             raise ConfigError("eval mode needs --T (or --T0)")
-        variable = get("var")
         if mode in ("sweep", "transitions") and variable is not None and variable != "T":
             raise ConfigError(f"sweeping {variable} needs a fixed --T")
         t_value = 1.0  # placeholder; unused by --T0 and replaced by T sweeps
     elif t_value < TEMPERATURE_FLOOR:
-        raise DomainError(
+        raise ValueError(
             f"temperature {t_value!r} is below the {TEMPERATURE_FLOOR} floor; "
             "use --T0 for the zero-temperature limit"
         )
 
-    def num(key: str, default: float = 0.0) -> float:
-        value = get(key)
-        return default if value is None else float(value)
-
     if full_given:
         h = HamiltonianParams(
-            Jx=num("Jx"), Jy=num("Jy"), Jz=num("Jz"),
-            Dz=num("Dz"), Gz=num("Gz"), B1=num("B1"), B2=num("B2"),
+            Jx=get("Jx", 0.0), Jy=get("Jy", 0.0), Jz=get("Jz", 0.0),
+            Dz=get("Dz", 0.0), Gz=get("Gz", 0.0), B1=get("B1", 0.0), B2=get("B2", 0.0),
         )
         rad = derived_radii(h)
         r1, r2 = rad.r1, rad.r2
-        jz, b1, b2 = h.Jz, h.B1, h.B2
     else:
-        jz, r1, r2, b1, b2 = num("Jz"), num("r1"), num("r2"), num("B1"), num("B2")
-
-    try:
-        params = XStateParams(Jz=jz, r1=r1, r2=r2, B1=b1, B2=b2, T=t_value)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+        r1, r2 = get("r1", 0.0), get("r2", 0.0)
+    params = XStateParams(Jz=get("Jz", 0.0), r1=r1, r2=r2, B1=get("B1", 0.0), B2=get("B2", 0.0), T=t_value)
 
     spec = None
     if mode in ("sweep", "transitions"):
-        variable = get("var")
         if variable is None:
             raise ConfigError(f"{mode} mode needs --var")
-        start = get("from", "start")
-        stop = get("to", "stop")
+        start = get("from")
+        stop = get("to")
         if start is None or stop is None:
             raise ConfigError(f"{mode} mode needs --from and --to")
-        points = get("points")
-        if points is None:
-            points = 300 if mode == "sweep" else 1000
+        points = get("points", 300 if mode == "sweep" else 1000)
         if points > MAX_POINTS:
-            raise DomainError(f"--points must be at most {MAX_POINTS}, got {points}")
-        if variable == "T" and start is not None and start < TEMPERATURE_FLOOR:
-            raise DomainError(f"temperature sweep start {start!r} is below the {TEMPERATURE_FLOOR} floor")
-        try:
-            spec = SweepSpec(base=params, variable=variable, start=float(start), stop=float(stop), points=int(points))
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
+            raise ValueError(f"--points must be at most {MAX_POINTS}, got {points}")
+        if variable == "T" and start < TEMPERATURE_FLOOR:
+            raise ValueError(f"temperature sweep start {start!r} is below the {TEMPERATURE_FLOOR} floor")
+        spec = SweepSpec(base=params, variable=variable, start=start, stop=stop, points=points)
 
-    fmt = get("format") or "csv"
     out = get("out")
-    plot_script = bool(get("plot-script", "plot_script"))
+    plot_script = get("plot-script", False)
     if plot_script and mode != "sweep":
         raise ConfigError("--plot-script applies to sweep mode only")
     if plot_script and out is None:
         raise ConfigError("--plot-script needs --out to know which file to reference")
-    jobs = get("jobs")
-    jobs = 1 if jobs is None else int(jobs)
+    jobs = get("jobs", 1)
     if not 1 <= jobs <= MAX_JOBS:
-        raise DomainError(f"--jobs must be between 1 and {MAX_JOBS}, got {jobs}")
-    seed = get("seed")
-    seed = DEFAULT_SEED if seed is None else int(seed)
+        raise ValueError(f"--jobs must be between 1 and {MAX_JOBS}, got {jobs}")
 
     return RunConfig(
-        mode=mode, params=params, zero_t=zero_t, spec=spec,
-        out=out, fmt=fmt, plot_script=plot_script, jobs=jobs, seed=seed,
+        mode=mode, params=params, zero_t=zero_t, spec=spec, out=out, fmt=get("format", "csv"),
+        plot_script=plot_script, jobs=jobs, seed=get("seed", DEFAULT_SEED),
     )
 
 

@@ -214,7 +214,7 @@ def _frame_eigenvalues_and_spins(x: XMatrix):
             [u, 0.0, 0.0, x.d],
         ]
     )
-    f = frame.permutation @ frame.rotation
+    f = frame.transform
     lam = np.clip(np.diag(f.T @ dephased @ f), 0.0, None)
     spins = {axis: local_spin_in_eigenbasis(x, axis, frame) for axis in ("x", "y", "z")}
     return lam, spins

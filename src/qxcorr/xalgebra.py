@@ -48,6 +48,7 @@ BLOCK_PERMUTATION = np.array(
         [0.0, 1.0, 0.0, 0.0],
     ]
 )
+BLOCK_PERMUTATION.flags.writeable = False  # shared by every EigenFrame
 
 
 @dataclass(frozen=True)
@@ -135,11 +136,14 @@ class EigenFrame:
     ``permutation`` swaps basis states 2 and 4; ``rotation`` is the block
     rotation.  Both are symmetric and involutive, and
     rotation @ permutation @ x @ permutation @ rotation is diagonal with
-    entries (p1, p2, p3, p4) for non-degenerate blocks.
+    entries (p1, p2, p3, p4) for non-degenerate blocks.  ``transform`` is
+    permutation @ rotation, the frame as one orthogonal matrix f, so that
+    f.T @ x @ f is that diagonal matrix.
     """
 
     permutation: np.ndarray
     rotation: np.ndarray
+    transform: np.ndarray
 
 
 def eigenframe(x: XMatrix) -> EigenFrame:
@@ -147,22 +151,22 @@ def eigenframe(x: XMatrix) -> EigenFrame:
     rot = np.zeros((4, 4))
     rot[:2, :2] = b1
     rot[2:, 2:] = b2
-    return EigenFrame(permutation=BLOCK_PERMUTATION.copy(), rotation=rot)
+    return EigenFrame(permutation=BLOCK_PERMUTATION, rotation=rot, transform=BLOCK_PERMUTATION @ rot)
 
 
 def local_spin_in_eigenbasis(x: XMatrix, axis: str, frame: EigenFrame | None = None) -> np.ndarray:
     """Pauli operator on qubit A, written in the eigenbasis of the X matrix.
 
-    With f = permutation @ rotation, the ``eigenframe`` of ``x`` as one
-    orthogonal matrix, this is f.T @ LOCAL_SPIN[axis] @ f: the same sigma_axis
-    x I the oracle conjugates into its Jacobi eigenbasis.  The x and y results
-    are block-anti-diagonal, z is block-diagonal.  Returned as complex128 (the
-    y matrix is purely imaginary).  Pass ``frame``, the ``eigenframe`` of
+    With f the ``transform`` of the ``eigenframe`` of ``x``, this is
+    f.T @ LOCAL_SPIN[axis] @ f: the same sigma_axis x I the oracle conjugates
+    into its Jacobi eigenbasis.  The x and y results are block-anti-diagonal,
+    z is block-diagonal.  Returned as complex128 (the y matrix is purely
+    imaginary).  Pass ``frame``, the ``eigenframe`` of
     ``x``, to reuse it instead of building it again.
     """
     if axis not in LOCAL_SPIN:
         raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
     if frame is None:
         frame = eigenframe(x)
-    f = frame.permutation @ frame.rotation
+    f = frame.transform
     return f.T @ LOCAL_SPIN[axis] @ f

@@ -138,6 +138,8 @@ class XMatrix:
         m = np.asarray(m, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
         mask = np.ones((4, 4), dtype=bool)
         for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)):
             mask[i, j] = False

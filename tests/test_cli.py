@@ -1,15 +1,38 @@
 """Command-line behavior: parsing, exit codes, output formats, reproducibility."""
 
+import argparse
 import sys
 
 import numpy as np
 import pytest
 
-from qxcorr import correlations, oracle
+from qxcorr import cli, correlations, oracle
 from qxcorr.cli import MAX_JOBS, MAX_POINTS, DomainError, main, parse_config
 
 WEAK_FIELD_FLAGS = ["--Jz", "-1", "--r1", "0.5", "--r2", "1", "--B1", "-0.4", "--B2", "0.7"]
 STRONG_FLAGS = ["--Jz", "1", "--r1", "3.4", "--r2", "3.2", "--B1", "-1.3", "--B2", "1.7"]
+
+# valid runs whose values all differ from the defaults, so that a value lost on
+# the way from the config file changes the RunConfig or fails the run
+_WEAK_POINT = {"mode": "eval", "Jz": "-1", "r1": "0.5", "r2": "1", "B1": "-0.4", "B2": "0.7"}
+SAME_VALUE_RUNS = {
+    "eval": {**_WEAK_POINT, "T": "1"},
+    "zero-T": {**_WEAK_POINT, "T0": "true"},
+    "full": {
+        "mode": "eval", "Jx": "0.75", "Jy": "0.25", "Jz": "-1", "Dz": "0.1", "Gz": "-0.2",
+        "B1": "-0.4", "B2": "0.7", "T": "1",
+    },
+    "sweep": {
+        "mode": "sweep", "Jz": "1", "r1": "3.4", "r2": "3.2", "B1": "-1.3", "B2": "1.7", "T": "0.8",
+        "var": "B1", "from": "-1", "to": "1", "points": "7", "out": "scan.csv", "format": "tsv",
+        "plot-script": "true", "jobs": "2", "seed": "7",
+    },
+}
+
+
+def as_flag(key, value):
+    # --key=value hands argparse every value as the argument of its flag, whatever its sign
+    return f"--{key}" if value == "true" else f"--{key}={value}"
 
 
 def run_cli(capsys, *args):
@@ -119,6 +142,47 @@ class TestParsing:
             "--points", str(MAX_POINTS), "--jobs", str(MAX_JOBS),
         ])
         assert config.spec.points == MAX_POINTS and config.jobs == MAX_JOBS
+
+    @pytest.mark.parametrize(
+        "run, key", [(run, key) for run, values in SAME_VALUE_RUNS.items() for key in values]
+    )
+    def test_flag_and_config_line_give_equal_configs(self, tmp_path, run, key):
+        values = SAME_VALUE_RUNS[run]
+        others = [as_flag(k, v) for k, v in values.items() if k != key]
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{key} = {values[key]}\n", encoding="utf-8")
+        assert parse_config([*others, as_flag(key, values[key])]) == parse_config([*others, "--config", str(cfg)])
+
+    def test_same_value_runs_cover_every_config_key(self):
+        covered = {key for values in SAME_VALUE_RUNS.values() for key in values}
+        assert covered == set(cli._OPTIONS) - {"config"}
+
+    @pytest.mark.parametrize(
+        "coupling", [["--Jx", "nan"], ["--Gz", "inf"], "Jx = nan"], ids=["flag Jx", "flag Gz", "config Jx"]
+    )
+    def test_non_finite_coupling_is_domain_error_with_empty_stdout(self, capsys, tmp_path, coupling):
+        if isinstance(coupling, str):
+            cfg = tmp_path / "coupling.cfg"
+            cfg.write_text(f"{coupling}\n", encoding="utf-8")
+            coupling = ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, "--mode", "eval", "--Jz", "1", "--T", "1", *coupling)
+        assert (code, out) == (4, "")
+        assert "must be a finite real number" in err
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        assert run_cli(capsys, "--mode", "eval", *WEAK_FIELD_FLAGS, "--T", "1")[0] == 0  # builds it, if no test has
+        built = []
+
+        class CountingParser(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(argparse, "ArgumentParser", CountingParser)
+        for _ in range(2):
+            code, _, _ = run_cli(capsys, "--mode", "eval", *WEAK_FIELD_FLAGS, "--T", "1")
+            assert code == 0
+        assert built == []
 
     def test_zero_t_flag_outside_eval(self, capsys):
         code, _, err = run_cli(

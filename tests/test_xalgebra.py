@@ -16,6 +16,7 @@ from qxcorr import (
     spectrum,
 )
 from qxcorr.oracle import LOCAL_SPIN
+from qxcorr.xalgebra import BLOCK_PERMUTATION
 
 MIXED = XMatrix(a=0.25, b=0.25, c=0.25, d=0.25)
 BELL = XMatrix(a=0.5, b=0.0, c=0.0, d=0.5, u=0.5)
@@ -111,6 +112,13 @@ class TestEigenFrame:
         f = eigenframe(x)
         s = 1.0 / math.sqrt(2.0)
         assert np.allclose(f.rotation[:2, :2], [[s, s], [s, -s]], atol=1e-14)
+
+    def test_transform_is_the_product_over_a_shared_permutation(self):
+        for x in random_states(67, 10):
+            f = eigenframe(x)
+            assert np.array_equal(f.transform, f.permutation @ f.rotation)
+            assert f.permutation is BLOCK_PERMUTATION
+        assert not BLOCK_PERMUTATION.flags.writeable
 
 
 class TestLocalSpin:

@@ -228,6 +228,16 @@ class TestXMatrixValidation:
         with pytest.raises(ValueError):
             XMatrix.from_matrix(m)
 
+    @pytest.mark.parametrize(
+        "i, j, entry", [(0, 1, np.nan), (3, 0, np.nan), (1, 1, complex(0.25, np.nan)), (2, 2, np.inf)]
+    )
+    def test_from_matrix_rejects_non_finite_entries(self, i, j, entry):
+        # a nan compares false against every tolerance, so it must be refused first
+        m = np.diag([0.25] * 4).astype(complex)
+        m[i, j] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            XMatrix.from_matrix(m)
+
 
 class TestRealization:
     def test_radii_roundtrip(self):
