@@ -125,45 +125,38 @@ def _row(base: XStateParams, variable: str, value: float) -> SweepRow:
     )
 
 
-def _grid_rows(spec: SweepSpec) -> list[SweepRow]:
-    """Rows for every grid point, in grid order, evaluated in this process."""
-    return [_row(spec.base, spec.variable, value) for value in spec.grid()]
-
-
 def sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
     """Evaluate the thermal closed forms on the grid, in grid order.
 
     ``jobs`` is accepted for compatibility and ignored: every grid is
     evaluated in this process.
     """
-    return _grid_rows(spec)
+    return [_row(spec.base, spec.variable, value) for value in spec.grid()]
 
 
-def _branch_gap(base: XStateParams, variable: str, measure: str, value: float) -> float:
-    p = _at(base, variable, value)
-    pair: BranchPair = lqfi_thermal(p) if measure == "LQFI" else lqu_thermal(p)
+def _gap(pair: BranchPair) -> float:
     return pair.branch0 - pair.branch1
 
 
 def _bisect_crossing(
-    base: XStateParams, variable: str, measure: str, lo: float, hi: float
+    spec: SweepSpec, measure: str, pair_of, lo: float, hi: float, flo: float
 ) -> TransitionPoint:
-    flo = _branch_gap(base, variable, measure, lo)
+    """Bisect the gap ``branch0 - branch1`` of ``pair_of`` (``lqfi_thermal`` or
+    ``lqu_thermal``) on [lo, hi]; ``flo`` is the gap at ``lo``."""
+
+    def gap(value: float) -> float:
+        return _gap(pair_of(_at(spec.base, spec.variable, value)))
+
     a, b = lo, hi
     while b - a > BISECTION_WIDTH:
         mid = 0.5 * (a + b)
-        fmid = _branch_gap(base, variable, measure, mid)
+        fmid = gap(mid)
         if flo * fmid <= 0.0:
             b = mid
         else:
             a, flo = mid, fmid
     location = 0.5 * (a + b)
-    return TransitionPoint(
-        measure=measure,
-        location=location,
-        bracket=(a, b),
-        residual=abs(_branch_gap(base, variable, measure, location)),
-    )
+    return TransitionPoint(measure=measure, location=location, bracket=(a, b), residual=abs(gap(location)))
 
 
 def find_transitions(spec: SweepSpec, jobs: int = 1) -> list[TransitionPoint]:
@@ -175,18 +168,18 @@ def find_transitions(spec: SweepSpec, jobs: int = 1) -> list[TransitionPoint]:
     ``jobs`` is accepted for compatibility and ignored, as in ``sweep``.
     """
     grid = spec.grid()
-    rows = _grid_rows(spec)
+    points = [_at(spec.base, spec.variable, value) for value in grid]
 
     found: list[TransitionPoint] = []
-    for measure in ("LQFI", "LQU"):
-        gaps = [r.f0 - r.f1 if measure == "LQFI" else r.u0 - r.u1 for r in rows]
+    for measure, pair_of in (("LQFI", lqfi_thermal), ("LQU", lqu_thermal)):
+        gaps = [_gap(pair_of(p)) for p in points]
         for i in range(len(grid) - 1):
             if gaps[i] * gaps[i + 1] < 0.0 and max(abs(gaps[i]), abs(gaps[i + 1])) > GAP_NOISE_FLOOR:
-                found.append(_bisect_crossing(spec.base, spec.variable, measure, grid[i], grid[i + 1]))
-        for i in range(1, len(grid) - 1):
-            # an exact zero at a grid point counts only when the signs flip around it
-            if (
-                gaps[i] == 0.0
+                found.append(_bisect_crossing(spec, measure, pair_of, grid[i], grid[i + 1], gaps[i]))
+            elif (
+                # an exact zero at a grid point counts only when the signs flip around it
+                i > 0
+                and gaps[i] == 0.0
                 and gaps[i - 1] * gaps[i + 1] < 0.0
                 and max(abs(gaps[i - 1]), abs(gaps[i + 1])) > GAP_NOISE_FLOOR
             ):
@@ -215,21 +208,17 @@ def bell_diagonal_boundary(
     if abs(offset) < _BOUNDARY_LINE_TOL:
         return BoundaryClassification(side="boundary", lqfi_branch="boundary", lqu_branch="boundary")
 
-    f_labels = set()
-    u_labels = set()
-    for t in temperatures:
-        pt = dataclasses.replace(p, T=t)
-        f_labels.add(lqfi_thermal(pt).active)
-        u_labels.add(lqu_thermal(pt).active)
-    f_labels.discard("boundary")
-    u_labels.discard("boundary")
-    if len(f_labels) != 1 or len(u_labels) != 1:
+    at_temperatures = [dataclasses.replace(p, T=t) for t in temperatures]
+    labels = {
+        measure: {pair_of(pt).active for pt in at_temperatures} - {"boundary"}
+        for measure, pair_of in (("LQFI", lqfi_thermal), ("LQU", lqu_thermal))
+    }
+    if any(len(found) != 1 for found in labels.values()):
         raise RuntimeError(
-            f"active branch off the boundary line is not temperature-independent: "
-            f"LQFI={sorted(f_labels)}, LQU={sorted(u_labels)}"
+            "active branch off the boundary line is not temperature-independent: "
+            + ", ".join(f"{measure}={sorted(found)}" for measure, found in labels.items())
         )
+    (f_branch,), (u_branch,) = labels.values()
     return BoundaryClassification(
-        side="above" if offset > 0.0 else "below",
-        lqfi_branch=f_labels.pop(),
-        lqu_branch=u_labels.pop(),
+        side="above" if offset > 0.0 else "below", lqfi_branch=f_branch, lqu_branch=u_branch
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import oracle_w_matrix, spectral_moments
+from .oracle import spectral_moments
 from .xalgebra import eigenframe, local_spin_in_eigenbasis, spectrum
 from .xmodel import XMatrix, XStateParams, _shifted_weights, dephase, gibbs_xstate, realize
 
@@ -46,7 +46,6 @@ BOUNDARY_TOL = 1e-10
 _EMPTY_BLOCK = 1e-14
 
 _RATIO_DEN_TOL = 1e-14
-_RATIO_NUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -159,23 +158,18 @@ def m_eigenvalues(x: XMatrix) -> MomentDiagonal:
     return MomentDiagonal(xx=(core + cross) * scale, yy=(core - cross) * scale, zz=zz)
 
 
-class _OracleFallback(Exception):
-    """Raised when a degenerate ratio has a non-vanishing numerator."""
-
-
 def _degenerate_ratio(num: float, den: float) -> float:
-    """num/den with the valid-state degenerate limit.
+    """num/den, or its valid-state limit 0 when ``den`` is below ``_RATIO_DEN_TOL``.
 
     Positivity ties each numerator to its denominator, so both vanish together
-    on valid states and the limit is exactly zero.  A large numerator over a
-    vanishing denominator signals an invalid input and defers to the generic
-    spectral route.
+    on valid states and the limit is exactly zero.  A numerator that does not
+    vanish there comes from populations a rounding step below zero, which
+    ``XMatrix`` accepts; 0 is still returned, the limit at the nearest valid
+    state (those populations clipped to zero).
     """
     if den >= _RATIO_DEN_TOL:
         return num / den
-    if abs(num) < _RATIO_NUM_TOL:
-        return 0.0
-    raise _OracleFallback
+    return 0.0
 
 
 def w_eigenvalues(x: XMatrix) -> MomentDiagonal:
@@ -187,17 +181,14 @@ def w_eigenvalues(x: XMatrix) -> MomentDiagonal:
     sp34 = math.sqrt(s.p3) + math.sqrt(s.p4)
     base = sp12 * sp34
     num = (x.b - x.c) * (x.d - x.a)
-    try:
-        xx = base + _degenerate_ratio(num + 4.0 * u * v, base)
-        yy = base + _degenerate_ratio(num - 4.0 * u * v, base)
-        zz = 0.5 * (
-            sp12 * sp12
-            + sp34 * sp34
-            + _degenerate_ratio((x.d - x.a) ** 2 - 4.0 * u * u, sp12 * sp12)
-            + _degenerate_ratio((x.b - x.c) ** 2 - 4.0 * v * v, sp34 * sp34)
-        )
-    except _OracleFallback:
-        return MomentDiagonal.of(oracle_w_matrix(x.as_matrix()))
+    xx = base + _degenerate_ratio(num + 4.0 * u * v, base)
+    yy = base + _degenerate_ratio(num - 4.0 * u * v, base)
+    zz = 0.5 * (
+        sp12 * sp12
+        + sp34 * sp34
+        + _degenerate_ratio((x.d - x.a) ** 2 - 4.0 * u * u, sp12 * sp12)
+        + _degenerate_ratio((x.b - x.c) ** 2 - 4.0 * v * v, sp34 * sp34)
+    )
     return MomentDiagonal(xx=xx, yy=yy, zz=zz)
 
 
@@ -252,22 +243,22 @@ def lqu_x(x: XMatrix) -> BranchPair:
 
 
 def _thermal_setup(p: XStateParams):
-    """Shifted Boltzmann weights and radii for the reduced parameterization."""
+    """Shifted Boltzmann weights, radii and coupling factors for the reduced parameterization.
+
+    ``rr1``, ``rr2`` are the squared shares (r/R)^2 of the couplings in the
+    radii, and ``kappa = (r1 r2 + B2^2 - B1^2)/(R1 R2)`` is bounded by 1 in
+    magnitude (Cauchy-Schwarz); all three vanish with their radii.
+    """
     beta = 1.0 / p.T
     R1 = math.hypot(p.r1, p.B1 + p.B2)
     R2 = math.hypot(p.r2, p.B1 - p.B2)
     levels = (p.Jz + R1, p.Jz - R1, -p.Jz + R2, -p.Jz - R2)
     weights, m = _shifted_weights(levels, beta)
-    return weights, sum(weights), m, R1, R2, beta
-
-
-def _coupling_ratio(p: XStateParams, R1: float, R2: float) -> float:
-    # (r1 r2 + B2^2 - B1^2)/(R1 R2); bounded by 1 in magnitude (Cauchy-Schwarz)
-    # and vanishing with either radius.
+    rr1 = (p.r1 / R1) ** 2 if R1 > 0.0 else 0.0
+    rr2 = (p.r2 / R2) ** 2 if R2 > 0.0 else 0.0
     prod = R1 * R2
-    if prod == 0.0:
-        return 0.0
-    return (p.r1 * p.r2 + p.B2 * p.B2 - p.B1 * p.B1) / prod
+    kappa = (p.r1 * p.r2 + p.B2 * p.B2 - p.B1 * p.B1) / prod if prod != 0.0 else 0.0
+    return weights, sum(weights), m, R1, R2, beta, rr1, rr2, kappa
 
 
 def lqfi_thermal(p: XStateParams) -> BranchPair:
@@ -277,10 +268,8 @@ def lqfi_thermal(p: XStateParams) -> BranchPair:
     occupation products, evaluated entirely in shifted Boltzmann weights so
     that no hyperbolic function overflows at low temperature.
     """
-    (w1, w2, w3, w4), zt, _, R1, R2, beta = _thermal_setup(p)
+    (w1, w2, w3, w4), zt, _, R1, R2, beta, rr1, rr2, kappa = _thermal_setup(p)
 
-    rr1 = (p.r1 / R1) ** 2 if R1 > 0.0 else 0.0
-    rr2 = (p.r2 / R2) ** 2 if R2 > 0.0 else 0.0
     em1 = -math.expm1(-2.0 * beta * R1)
     em2 = -math.expm1(-2.0 * beta * R2)
     f0 = (
@@ -290,7 +279,6 @@ def lqfi_thermal(p: XStateParams) -> BranchPair:
 
     # occupations sorted within each level pair (w2 >= w1, w4 >= w3 for T > 0)
     p1, p2, p3, p4 = w2 / zt, w1 / zt, w4 / zt, w3 / zt
-    kappa = _coupling_ratio(p, R1, R2)
     core = (
         p1 * p2
         + p3 * p4
@@ -303,18 +291,14 @@ def lqfi_thermal(p: XStateParams) -> BranchPair:
 
 def lqu_thermal(p: XStateParams) -> BranchPair:
     """Both LQU branches directly from the reduced thermal parameters."""
-    weights, zt, m, R1, R2, beta = _thermal_setup(p)
-    w2, w4 = weights[1], weights[3]
+    (_, w2, _, w4), zt, m, R1, R2, beta, rr1, rr2, kappa = _thermal_setup(p)
 
-    rr1 = (p.r1 / R1) ** 2 if R1 > 0.0 else 0.0
-    rr2 = (p.r2 / R2) ** 2 if R2 > 0.0 else 0.0
     em1 = -math.expm1(-beta * R1)
     em2 = -math.expm1(-beta * R2)
     u0 = (rr1 * w2 * em1 * em1 + rr2 * w4 * em2 * em2) / zt
 
     x1 = beta * R1
     x2 = beta * R2
-    kappa = _coupling_ratio(p, R1, R2)
     bracket = 0.25 * (
         (1.0 + kappa) * (1.0 + math.exp(-(x1 + x2)))
         + (1.0 - kappa) * (math.exp(-x1) + math.exp(-x2))

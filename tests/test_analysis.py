@@ -21,6 +21,7 @@ from qxcorr import (
     lqu_thermal,
     sweep,
 )
+from qxcorr import analysis
 
 
 def temperature_spec(params: dict, start, stop, points) -> SweepSpec:
@@ -128,6 +129,33 @@ class TestFindTransitions:
         for (m1, l1), (m2, l2) in zip(locs[1000], locs[2000]):
             assert m1 == m2
             assert abs(l1 - l2) < 5e-12
+
+    def test_scan_builds_no_sweep_rows(self, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("find_transitions built a SweepRow")
+
+        spec = temperature_spec(ANTIFERRO_STRONG, 0.5, 3.0, 200)
+        expected = find_transitions(spec)
+        monkeypatch.setattr(analysis, "SweepRow", no_rows)
+        assert find_transitions(spec) == expected
+        assert {t.measure for t in expected} == {"LQFI", "LQU"}
+
+    def test_thermal_forms_are_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper patched into the module after import must see every call
+        # of the scan, so the measure pairing cannot be bound at import
+        points = 200
+        calls = {"lqfi_thermal": 0, "lqu_thermal": 0}
+        for name in calls:
+            original = getattr(analysis, name)
+
+            def counting(p, name=name, original=original):
+                calls[name] += 1
+                return original(p)
+
+            monkeypatch.setattr(analysis, name, counting)
+        found = find_transitions(temperature_spec(ANTIFERRO_STRONG, 0.5, 3.0, points))
+        assert {t.measure for t in found} == {"LQFI", "LQU"}
+        assert calls["lqfi_thermal"] >= points and calls["lqu_thermal"] >= points
 
     def test_field_sweep_crossings(self):
         base = XStateParams(**FIELD_SWEEP_BASE, T=4.0)

@@ -18,6 +18,7 @@ from conftest import (
 from qxcorr import (
     XMatrix,
     XStateParams,
+    lambda_max_jacobi,
     lqfi_thermal,
     lqfi_x,
     lqu_thermal,
@@ -153,6 +154,17 @@ class TestMeasuresOnStates:
     def test_bell_state(self):
         assert lqfi_x(BELL).value == pytest.approx(1.0, abs=1e-14)
         assert lqu_x(BELL).value == pytest.approx(1.0, abs=1e-14)
+
+    def test_lqu_of_accepted_state_with_negative_populations(self):
+        # XMatrix accepts populations down to -XMATRIX_ATOL; the skew moments'
+        # degenerate ratios then take their valid-state limit, which is the
+        # value at the nearest valid state (populations clipped to zero)
+        x = XMatrix(a=0.25, b=-5e-10, c=-1e-9, d=0.75 + 1.5e-9)
+        nearest = XMatrix(a=0.25, b=0.0, c=0.0, d=0.75)
+        u = lqu_x(x)
+        assert 0.0 <= u.value <= 1.0
+        assert u.value == pytest.approx(1.0 - lambda_max_jacobi(oracle_w_matrix(nearest.as_matrix())), abs=1e-12)
+        assert u.value == lqfi_x(x).value == 0.0
 
     def test_branch_bookkeeping(self):
         for x in random_states(131, 100):
