@@ -12,7 +12,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .correlations import BranchPair, lqfi_thermal, lqu_thermal
+from .correlations import BranchPair, lqfi_thermal, lqu_thermal, thermal_branches
 from .xmodel import XStateParams
 
 __all__ = [
@@ -38,6 +38,9 @@ BISECTION_WIDTH = 1e-12
 GAP_NOISE_FLOOR = 1e-12
 
 _BOUNDARY_LINE_TOL = 1e-12
+
+# grid points per thermal_branches call in a sweep; bounds the kernel's temporaries
+_SWEEP_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class SweepSpec:
         return [self.start + i * step for i in range(self.points)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """Both measures and their branches at one grid point."""
 
@@ -108,30 +111,22 @@ def _at(base: XStateParams, variable: str, value: float) -> XStateParams:
     return dataclasses.replace(base, **{variable: value})
 
 
-def _row(base: XStateParams, variable: str, value: float) -> SweepRow:
-    p = _at(base, variable, value)
-    f = lqfi_thermal(p)
-    u = lqu_thermal(p)
-    return SweepRow(
-        x=value,
-        f0=f.branch0,
-        f1=f.branch1,
-        f=f.value,
-        f_branch=f.active,
-        u0=u.branch0,
-        u1=u.branch1,
-        u=u.value,
-        u_branch=u.active,
-    )
+def _row(p: XStateParams) -> SweepRow:
+    """The row of one point in T, through the scalar thermal forms (eval mode)."""
+    f, u = lqfi_thermal(p), lqu_thermal(p)
+    return SweepRow(p.T, f.branch0, f.branch1, f.value, f.active, u.branch0, u.branch1, u.value, u.active)
 
 
 def sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
-    """Evaluate the thermal closed forms on the grid, in grid order.
-
-    ``jobs`` is accepted for compatibility and ignored: every grid is
-    evaluated in this process.
-    """
-    return [_row(spec.base, spec.variable, value) for value in spec.grid()]
+    """Evaluate the thermal closed forms on the grid, in grid order, in this
+    process, through ``thermal_branches`` in blocks of ``_SWEEP_BLOCK`` points.
+    ``jobs`` is accepted for compatibility and ignored."""
+    grid, fixed, rows = spec.grid(), dataclasses.asdict(spec.base), []
+    for start in range(0, len(grid), _SWEEP_BLOCK):
+        values = grid[start : start + _SWEEP_BLOCK]
+        columns = thermal_branches(**{**fixed, spec.variable: values})
+        rows.extend(map(SweepRow, values, *(column.tolist() for column in columns)))
+    return rows
 
 
 def _gap(pair: BranchPair) -> float:

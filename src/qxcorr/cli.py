@@ -255,9 +255,7 @@ def _fmt(value: float) -> str:
 
 
 def _header(variable: str, sep: str) -> str:
-    return sep.join(
-        (variable, "F0", "F1", "F", "F_branch", "U0", "U1", "U", "U_branch")
-    )
+    return sep.join((variable, "F0", "F1", "F", "F_branch", "U0", "U1", "U", "U_branch"))
 
 
 def _row_line(row: SweepRow, sep: str) -> str:
@@ -295,7 +293,7 @@ def _run_eval(config: RunConfig) -> int:
         return EXIT_OK
     sep = "," if config.fmt == "csv" else "\t"
     # evaluate first, so that a refused point writes nothing to stdout
-    row = _row(config.params, "T", config.params.T)
+    row = _row(config.params)
     print(_header("T", sep))
     print(_row_line(row, sep))
     return EXIT_OK
@@ -304,14 +302,14 @@ def _run_eval(config: RunConfig) -> int:
 def _run_sweep(config: RunConfig) -> int:
     sep = "," if config.fmt == "csv" else "\t"
     rows = sweep(config.spec, jobs=config.jobs)
-    lines = [_header(config.spec.variable, sep)]
-    lines.extend(_row_line(r, sep) for r in rows)
-    text = "\n".join(lines) + "\n"
+    lines = [_header(config.spec.variable, sep) + "\n"]
+    lines.extend(_row_line(r, sep) + "\n" for r in rows)
     if config.out is None:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(lines))
     else:
         try:
-            Path(config.out).write_text(text, encoding="utf-8")
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.writelines(lines)
         except OSError as exc:
             print(f"qxcorr: cannot write {config.out}: {exc}", file=sys.stderr)
             return EXIT_IO

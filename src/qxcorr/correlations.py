@@ -9,12 +9,13 @@ matrix, which yields two analytic branches per measure:
 and the measure is the pointwise minimum of the branches.  Each moment has a
 simplified matrix-element form, a raw spectral-sum form kept as an internal
 cross-check, and a direct thermal form in the reduced parameters
-(Jz, r1, r2, B1, B2, T).
+(Jz, r1, r2, B1, B2, T), per point and over arrays (``thermal_branches``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ __all__ = [
     "lqu_x",
     "lqfi_thermal",
     "lqu_thermal",
+    "ThermalBranches",
+    "thermal_branches",
     "thermal_xmatrix",
 ]
 
@@ -266,7 +269,8 @@ def lqfi_thermal(p: XStateParams) -> BranchPair:
 
     Branch 0 uses sinh*tanh weights of the two radii; branch 1 is the ratio of
     occupation products, evaluated entirely in shifted Boltzmann weights so
-    that no hyperbolic function overflows at low temperature.
+    that no hyperbolic function overflows at low temperature.  One derivation
+    written twice, with ``thermal_branches``, tied by a test.
     """
     (w1, w2, w3, w4), zt, _, R1, R2, beta, rr1, rr2, kappa = _thermal_setup(p)
 
@@ -290,7 +294,8 @@ def lqfi_thermal(p: XStateParams) -> BranchPair:
 
 
 def lqu_thermal(p: XStateParams) -> BranchPair:
-    """Both LQU branches directly from the reduced thermal parameters."""
+    """Both LQU branches directly from the reduced thermal parameters; one
+    derivation written twice, with ``thermal_branches``, tied by a test."""
     (_, w2, _, w4), zt, m, R1, R2, beta, rr1, rr2, kappa = _thermal_setup(p)
 
     em1 = -math.expm1(-beta * R1)
@@ -306,6 +311,78 @@ def lqu_thermal(p: XStateParams) -> BranchPair:
     # exp((x1+x2)/2 - m) <= 1 since the shift m dominates the half-sum exponent
     u1 = 1.0 - 4.0 * math.exp(0.5 * (x1 + x2) - m) * bracket / zt
     return BranchPair.from_branches(u0, u1)
+
+
+#: per measure: both clipped branches, their minimum and its label, as in BranchPair
+ThermalBranches = namedtuple("ThermalBranches", "f0 f1 f f_branch u0 u1 u u_branch")
+_LABELS = np.array(["0", "1", "boundary"], dtype=object)
+
+
+def _pair_columns(branch0: np.ndarray, branch1: np.ndarray):
+    """Array copy of ``BranchPair.from_branches``: clipped branches, minimum, labels."""
+    b0, b1 = (np.where(b < 0.0, 0.0, np.where(b > 1.0, 1.0, b)) for b in (branch0, branch1))
+    codes = np.where(np.abs(b0 - b1) < BOUNDARY_TOL, 2, np.where(b0 < b1, 0, 1))
+    return b0, b1, np.where(b1 < b0, b1, b0), _LABELS[codes]
+
+
+def _hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``math.hypot`` elementwise.  It is correctly rounded and ``np.hypot`` is
+    not; a last-bit change in a radius grows by beta in the Boltzmann exponents."""
+    return np.fromiter(map(math.hypot, a.ravel().tolist(), b.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+def thermal_branches(Jz, r1, r2, B1, B2, T) -> ThermalBranches:
+    """Both branches of LQFI and LQU over broadcastable parameter arrays.
+
+    ``lqfi_thermal`` and ``lqu_thermal`` over arrays: one derivation written
+    twice, tied by a test.  The guards and the order of every sum are the
+    scalar ones, so values agree to a few ulp (numpy's ``exp`` is not
+    ``math.exp``), and a point's bits do not depend on the array around it.
+    A non-finite or out-of-domain parameter, or a non-finite branch, raises
+    ValueError naming the first such point.
+    """
+    with np.errstate(all="ignore"):
+        arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (Jz, r1, r2, B1, B2, T)))
+        Jz, r1, r2, B1, B2, T = arrays
+        beta = 1.0 / T
+        R1, R2 = _hypot(r1, B1 + B2), _hypot(r2, B1 - B2)
+        exponents = [-beta * e for e in (Jz + R1, Jz - R1, -Jz + R2, -Jz - R2)]
+        m = np.maximum(np.maximum(np.maximum(exponents[0], exponents[1]), exponents[2]), exponents[3])
+        w1, w2, w3, w4 = (np.exp(e - m) for e in exponents)
+        zt = w1 + w2 + w3 + w4
+        rr1, rr2 = (np.where(R > 0.0, (r / R) ** 2, 0.0) for r, R in ((r1, R1), (r2, R2)))
+        kappa = np.where(R1 * R2 != 0.0, (r1 * r2 + B2 * B2 - B1 * B1) / (R1 * R2), 0.0)
+
+        # LQFI as in lqfi_thermal; the masks are the guards of _transverse_moment_scale
+        t1, t2 = -2.0 * beta * R1, -2.0 * beta * R2
+        em1, em2 = -np.expm1(t1), -np.expm1(t2)
+        f0 = (rr1 * w2 * em1 * em1 / (1.0 + np.exp(t1)) + rr2 * w4 * em2 * em2 / (1.0 + np.exp(t2))) / zt
+        p1, p2, p3, p4 = w2 / zt, w1 / zt, w4 / zt, w3 / zt
+        core = p1 * p2 + p3 * p4 + 0.5 * (p1 + p2) * (p3 + p4) + 0.5 * kappa * (p1 - p2) * (p3 - p4)
+        weight = (p1 + p2) * p3 * p4 + (p3 + p4) * p1 * p2
+        scale = 4.0 * weight / ((p1 + p3) * (p1 + p4) * (p2 + p3) * (p2 + p4))
+        scale = np.where(p2 + p4 <= _EMPTY_BLOCK, 4.0 / (p1 + p3), scale)
+        scale = np.where((p1 + p2 <= _EMPTY_BLOCK) | (p3 + p4 <= _EMPTY_BLOCK), 0.0, scale)
+        f1 = 1.0 - core * scale
+
+        # LQU as in lqu_thermal
+        x1, x2 = beta * R1, beta * R2
+        em1, em2 = -np.expm1(-beta * R1), -np.expm1(-beta * R2)
+        u0 = (rr1 * w2 * em1 * em1 + rr2 * w4 * em2 * em2) / zt
+        bracket = 0.25 * (
+            (1.0 + kappa) * (1.0 + np.exp(-(x1 + x2))) + (1.0 - kappa) * (np.exp(-x1) + np.exp(-x2))
+        )
+        u1 = 1.0 - 4.0 * np.exp(0.5 * (x1 + x2) - m) * bracket / zt
+
+        valid = np.isfinite(arrays).all(axis=0) & (r1 >= 0.0) & (r2 >= 0.0) & (T > 0.0)
+        finite = np.isfinite([f0, f1, u0, u1]).all(axis=0)
+    for bad, what in ((~valid, "parameter outside its domain"), (~finite, "non-finite branch")):
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            values = (float(a.ravel()[i]) for a in arrays)
+            point = ", ".join(f"{n}={v!r}" for n, v in zip(("Jz", "r1", "r2", "B1", "B2", "T"), values))
+            raise ValueError(f"{what} at {point}")
+    return ThermalBranches(*_pair_columns(f0, f1), *_pair_columns(u0, u1))
 
 
 def thermal_xmatrix(p: XStateParams) -> XMatrix:

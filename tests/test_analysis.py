@@ -22,6 +22,7 @@ from qxcorr import (
     sweep,
 )
 from qxcorr import analysis
+from qxcorr.correlations import thermal_branches
 
 
 def temperature_spec(params: dict, start, stop, points) -> SweepSpec:
@@ -62,6 +63,22 @@ class TestSweep:
     def test_parallel_matches_serial(self):
         spec = temperature_spec(ANTIFERRO_STRONG, 0.5, 3.0, 40)
         assert sweep(spec, jobs=2) == sweep(spec, jobs=1)
+
+    @pytest.mark.parametrize("variable, start, stop", [("T", 1e-3, 3.0), ("B1", -6.0, 6.0)])
+    def test_point_bits_do_not_depend_on_the_grid(self, variable, start, stop):
+        # 10,000 points span ten kernel blocks; a point alone, the whole grid in
+        # one call and the blocked sweep must give the same bits
+        base = XStateParams(**ANTIFERRO_STRONG, T=0.8)
+        spec = SweepSpec(base=base, variable=variable, start=start, stop=stop, points=10_000)
+        grid = spec.grid()
+        fixed = dataclasses.asdict(spec.base)
+        whole = [column.tolist() for column in thermal_branches(**{**fixed, variable: grid})]
+        rows = sweep(spec)
+        assert [dataclasses.astuple(r)[1:] for r in rows] == list(zip(*whole))
+        for i in [*range(0, len(grid), 97), len(grid) - 1]:
+            for value in (grid[i], [grid[i]]):
+                alone = thermal_branches(**{**fixed, variable: value})
+                assert [np.ravel(column).tolist()[0] for column in alone] == [column[i] for column in whole]
 
     def test_rejects_bad_specs(self):
         base = XStateParams(**FERRO_WEAK_FIELD, T=1.0)

@@ -1,6 +1,7 @@
 """Command-line behavior: parsing, exit codes, output formats, reproducibility."""
 
 import argparse
+import hashlib
 import sys
 
 import numpy as np
@@ -11,6 +12,10 @@ from qxcorr.cli import MAX_JOBS, MAX_POINTS, DomainError, main, parse_config
 
 WEAK_FIELD_FLAGS = ["--Jz", "-1", "--r1", "0.5", "--r2", "1", "--B1", "-0.4", "--B2", "0.7"]
 STRONG_FLAGS = ["--Jz", "1", "--r1", "3.4", "--r2", "3.2", "--B1", "-1.3", "--B2", "1.7"]
+# the README's temperature sweep
+README_SWEEP = [
+    "--mode", "sweep", *STRONG_FLAGS, "--var", "T", "--from", "0.001", "--to", "3", "--points", "300",
+]
 
 # valid runs whose values all differ from the defaults, so that a value lost on
 # the way from the config file changes the RunConfig or fails the run
@@ -314,6 +319,22 @@ class TestSweepOutput:
         run_cli(capsys, *args, "--out", str(parallel), "--jobs", "2")
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("csv", "c00c52ab2d39b6c5a11114dc57dad9048ee317795fe8b3e5a632a3c2782c4d89"),
+            ("tsv", "7022637c3d02b10f4010a9bc8c25e2f39982397d13a5aa95284129ba6b09e500"),
+        ],
+    )
+    def test_readme_sweep_bytes_pinned(self, capsys, tmp_path, fmt, digest):
+        # digests of the output of the scalar per-point sweep that preceded the array kernel
+        code, out, _ = run_cli(capsys, *README_SWEEP, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        out_file = tmp_path / f"scan.{fmt}"
+        assert run_cli(capsys, *README_SWEEP, "--format", fmt, "--out", str(out_file))[:2] == (0, "")
+        assert out_file.read_bytes() == out.encode("utf-8")
+
     def test_unwritable_output_is_io_error(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "--mode", "sweep", *STRONG_FLAGS,
@@ -422,6 +443,29 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[0].startswith("LQFI 1.582")
+
+    @pytest.mark.parametrize("exponent", [154, 200])
+    def test_overflowing_sweep_exits_4_under_warnings_as_errors(self, tmp_path, exponent):
+        import subprocess
+        import sys
+
+        scaled = [
+            f"--{name}={mantissa}e{exponent}"
+            for name, mantissa in (("Jz", "1"), ("r1", "3.4"), ("r2", "3.2"), ("B1", "-1.3"), ("B2", "1.7"))
+        ]
+        out_file = tmp_path / "scan.csv"
+        result = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning", "-m", "qxcorr.cli", "--mode=sweep", *scaled,
+                "--var=T", f"--from=1e{exponent - 3}", f"--to=3e{exponent}", "--points=300", f"--out={out_file}",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 4, result.stderr
+        assert result.stdout == ""
+        assert "non-finite branch" in result.stderr
+        assert not out_file.exists()
 
     def test_import_leaves_scipy_unloaded(self):
         import subprocess

@@ -1,6 +1,7 @@
 """Closed-form LQFI/LQU: matrix-element forms, raw cross-checks, thermal forms."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from qxcorr import (
     w_eigenvalues,
     w_eigenvalues_raw,
 )
-from qxcorr.correlations import BranchPair, _frame_eigenvalues_and_spins
+from qxcorr.correlations import BOUNDARY_TOL, BranchPair, _frame_eigenvalues_and_spins, thermal_branches
 
 MIXED = XMatrix(a=0.25, b=0.25, c=0.25, d=0.25)
 BELL = XMatrix(a=0.5, b=0.0, c=0.0, d=0.5, u=0.5)
@@ -290,3 +291,94 @@ def test_branch_values_stay_in_unit_interval(jz, r1, r2, b1, b2, t):
         assert 0.0 <= pair.branch0 <= 1.0
         assert 0.0 <= pair.branch1 <= 1.0
         assert pair.value == min(pair.branch0, pair.branch1)
+
+
+# README-scale thermal points plus the degenerate kinds the scalar guards
+# exist for, with T log-uniform in [1e-3, 1e3]
+_README_SCALE = 3.4
+_coordinate = st.floats(-_README_SCALE, _README_SCALE, allow_nan=False)
+_radius = st.floats(0.0, _README_SCALE, allow_nan=False)
+
+
+def _near_level_crossing(r1, r2, b1, b2, t, offset):
+    """Jz within ``offset * t`` of the surface R1 = R2 + 2 Jz, where two levels
+    cross: at low T a last-bit change in a radius shows in the branches there."""
+    return 0.5 * (math.hypot(r1, b1 + b2) - math.hypot(r2, b1 - b2)) + offset * t
+
+
+@st.composite
+def thermal_points(draw):
+    kinds = ("generic", "zero field", "r1 = 0, B1 = -B2", "r1 + r2 = 2|Jz|", "R1 = R2 + 2 Jz")
+    kind = draw(st.sampled_from(kinds))
+    jz, r1, r2, b1, b2 = draw(_coordinate), draw(_radius), draw(_radius), draw(_coordinate), draw(_coordinate)
+    t = float(np.exp(draw(st.floats(np.log(1e-3), np.log(1e3)))))
+    if kind == "zero field":
+        b1 = b2 = 0.0
+    elif kind == "r1 = 0, B1 = -B2":
+        r1, b2 = 0.0, -b1
+    elif kind == "r1 + r2 = 2|Jz|":
+        r1 = min(r1, 2.0 * abs(jz))
+        r2, b1, b2 = 2.0 * abs(jz) - r1, 0.0, 0.0
+    elif kind == "R1 = R2 + 2 Jz":
+        jz = _near_level_crossing(r1, r2, b1, b2, t, draw(st.floats(-1.0, 1.0)))
+    return XStateParams(Jz=jz, r1=r1, r2=r2, B1=b1, B2=b2, T=t)
+
+
+class TestThermalKernel:
+    """``thermal_branches`` against the scalar thermal forms it repeats."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(thermal_points())
+    def test_matches_scalar_forms(self, p):
+        columns = thermal_branches(p.Jz, p.r1, p.r2, p.B1, p.B2, p.T)
+        for pair, (b0, b1, value, label) in ((lqfi_thermal(p), columns[:4]), (lqu_thermal(p), columns[4:])):
+            assert abs(b0 - pair.branch0) <= 1e-14
+            assert abs(b1 - pair.branch1) <= 1e-14
+            assert abs(value - pair.value) <= 1e-14
+            if abs(abs(pair.branch0 - pair.branch1) - BOUNDARY_TOL) >= 1e-14:
+                assert label == pair.active
+
+    def test_matches_scalar_forms_near_level_crossings_at_low_temperature(self):
+        # radii rounded differently from math.hypot (np.hypot is not correctly
+        # rounded) move branches here by up to ~6e-13
+        rng = np.random.default_rng(223)
+        points = []
+        for _ in range(4000):
+            r1, r2, b1, b2 = rng.uniform([0.0, 0.0, -3.4, -3.4], [3.4, 3.4, 3.4, 3.4]).tolist()
+            t = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e-2))))
+            jz = _near_level_crossing(r1, r2, b1, b2, t, float(rng.uniform(-1.0, 1.0)))
+            points.append(XStateParams(Jz=jz, r1=r1, r2=r2, B1=b1, B2=b2, T=t))
+        names = ("Jz", "r1", "r2", "B1", "B2", "T")
+        columns = thermal_branches(*(np.array([getattr(p, name) for p in points]) for name in names))
+        for i, p in enumerate(points):
+            f, u = lqfi_thermal(p), lqu_thermal(p)
+            got = [columns.f0[i], columns.f1[i], columns.u0[i], columns.u1[i]]
+            assert got == pytest.approx([f.branch0, f.branch1, u.branch0, u.branch1], rel=0.0, abs=1e-14), p
+
+    def test_columns_follow_the_branch_pair_rule(self):
+        rng = np.random.default_rng(211)
+        points = [random_reduced(rng) for _ in range(200)]
+        names = ("Jz", "r1", "r2", "B1", "B2", "T")
+        columns = thermal_branches(*(np.array([getattr(p, name) for p in points]) for name in names))
+        for b0, b1, value, label in (columns[:4], columns[4:]):
+            assert np.all((0.0 <= b0) & (b0 <= 1.0) & (0.0 <= b1) & (b1 <= 1.0))
+            assert np.array_equal(value, np.minimum(b0, b1))
+            assert set(label) <= {"0", "1", "boundary"}
+            assert all(lab == "boundary" for lab in label[np.abs(b0 - b1) < BOUNDARY_TOL])
+
+    @pytest.mark.parametrize("exponent", [154, 200])
+    def test_overflow_is_refused_without_warnings(self, exponent):
+        # the strong-exchange point scaled by 10**exponent: r1*r2 overflows
+        scale = 10.0**exponent
+        temperatures = np.geomspace(1e-3, 3.0, 7) * scale
+        with pytest.raises(ValueError, match="non-finite branch at Jz=1e"):
+            thermal_branches(1.0 * scale, 3.4 * scale, 3.2 * scale, -1.3 * scale, 1.7 * scale, temperatures)
+
+    @pytest.mark.parametrize(
+        "name, bad", [("B1", np.nan), ("Jz", np.inf), ("T", 0.0), ("T", -1.0), ("r2", -0.5)]
+    )
+    def test_names_the_first_parameter_outside_the_domain(self, name, bad):
+        params = dict(Jz=1.0, r1=3.4, r2=3.2, B1=-1.3, B2=1.7, T=np.array([0.5, 1.0, 2.0]))
+        params[name] = np.array([1.0, bad, bad]) if name != "T" else np.array([0.5, bad, 2.0])
+        with pytest.raises(ValueError, match=rf"outside its domain at .*{name}={bad!r}"):
+            thermal_branches(**params)
