@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .correlations import BranchPair, lqfi_thermal, lqu_thermal, thermal_branches
 from .xmodel import XStateParams
@@ -72,9 +73,9 @@ class SweepSpec:
         return [self.start + i * step for i in range(self.points)]
 
 
-@dataclass(frozen=True, slots=True)
-class SweepRow:
-    """Both measures and their branches at one grid point."""
+class SweepRow(NamedTuple):
+    """Both measures and their branches at one grid point, a named tuple like
+    ``ThermalBranches`` (immutable, and cheap to build by the thousand)."""
 
     x: float
     f0: float
@@ -125,7 +126,7 @@ def sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
     for start in range(0, len(grid), _SWEEP_BLOCK):
         values = grid[start : start + _SWEEP_BLOCK]
         columns = thermal_branches(**{**fixed, spec.variable: values})
-        rows.extend(map(SweepRow, values, *(column.tolist() for column in columns)))
+        rows.extend(map(SweepRow._make, zip(values, *(column.tolist() for column in columns))))
     return rows
 
 

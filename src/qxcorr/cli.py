@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import SWEEP_VARIABLES, SweepSpec, SweepRow, _row, find_transitions, sweep
+from .analysis import _SWEEP_BLOCK, SWEEP_VARIABLES, SweepSpec, SweepRow, _row, find_transitions, sweep
 from .correlations import lqu_x, lqfi_x
 from .limits import IndeterminateZeroTemperatureLimit, zero_t_limit
 from .oracle import lambda_max_closed, oracle_m_matrix, oracle_w_matrix, random_x_state
@@ -254,18 +255,19 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _header(variable: str, sep: str) -> str:
-    return sep.join((variable, "F0", "F1", "F", "F_branch", "U0", "U1", "U", "U_branch"))
+#: the line of one ``SweepRow`` per separator: ``.12g`` numbers, branch labels as they are
+_ROW_FORMATS = {sep: sep.join(["%.12g"] * 4 + ["%s"] + ["%.12g"] * 3 + ["%s"]) + "\n" for sep in (",", "\t")}
 
 
-def _row_line(row: SweepRow, sep: str) -> str:
-    return sep.join(
-        (
-            _fmt(row.x),
-            _fmt(row.f0), _fmt(row.f1), _fmt(row.f), row.f_branch,
-            _fmt(row.u0), _fmt(row.u1), _fmt(row.u), row.u_branch,
-        )
-    )
+def _table(variable: str, rows: list[SweepRow], sep: str) -> list[str]:
+    """The header line and the row lines, formatted with one ``%`` per block of
+    ``_SWEEP_BLOCK`` rows (a bound on the format string and its argument tuple)."""
+    fmt = _ROW_FORMATS[sep]
+    chunks = [sep.join((variable, "F0", "F1", "F", "F_branch", "U0", "U1", "U", "U_branch")) + "\n"]
+    for start in range(0, len(rows), _SWEEP_BLOCK):
+        block = rows[start : start + _SWEEP_BLOCK]
+        chunks.append((fmt * len(block)) % tuple(itertools.chain.from_iterable(block)))
+    return chunks
 
 
 def _plot_script_text(csv_name: str, variable: str, sep: str) -> str:
@@ -294,22 +296,19 @@ def _run_eval(config: RunConfig) -> int:
     sep = "," if config.fmt == "csv" else "\t"
     # evaluate first, so that a refused point writes nothing to stdout
     row = _row(config.params)
-    print(_header("T", sep))
-    print(_row_line(row, sep))
+    sys.stdout.write("".join(_table("T", [row], sep)))
     return EXIT_OK
 
 
 def _run_sweep(config: RunConfig) -> int:
     sep = "," if config.fmt == "csv" else "\t"
-    rows = sweep(config.spec, jobs=config.jobs)
-    lines = [_header(config.spec.variable, sep) + "\n"]
-    lines.extend(_row_line(r, sep) + "\n" for r in rows)
+    chunks = _table(config.spec.variable, sweep(config.spec, jobs=config.jobs), sep)
     if config.out is None:
-        sys.stdout.write("".join(lines))
+        sys.stdout.write("".join(chunks))
     else:
         try:
             with open(config.out, "w", encoding="utf-8") as fh:
-                fh.writelines(lines)
+                fh.writelines(chunks)
         except OSError as exc:
             print(f"qxcorr: cannot write {config.out}: {exc}", file=sys.stderr)
             return EXIT_IO

@@ -326,8 +326,10 @@ def _pair_columns(branch0: np.ndarray, branch1: np.ndarray):
 
 
 def _hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``math.hypot`` elementwise.  It is correctly rounded and ``np.hypot`` is
-    not; a last-bit change in a radius grows by beta in the Boltzmann exponents."""
+    """``math.hypot`` elementwise over the broadcast of ``a`` and ``b``.  It is
+    correctly rounded and ``np.hypot`` is not; a last-bit change in a radius
+    grows by beta in the Boltzmann exponents."""
+    a, b = np.broadcast_arrays(a, b)
     return np.fromiter(map(math.hypot, a.ravel().tolist(), b.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
@@ -342,10 +344,12 @@ def thermal_branches(Jz, r1, r2, B1, B2, T) -> ThermalBranches:
     ValueError naming the first such point.
     """
     with np.errstate(all="ignore"):
-        arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (Jz, r1, r2, B1, B2, T)))
+        Jz, r1, r2, B1, B2, T = (np.asarray(v, dtype=float) for v in (Jz, r1, r2, B1, B2, T))
+        # the radii on the given shapes: a T cut takes two math.hypot calls, not two per point
+        R1, R2 = _hypot(r1, B1 + B2), _hypot(r2, B1 - B2)
+        *arrays, R1, R2 = np.broadcast_arrays(Jz, r1, r2, B1, B2, T, R1, R2)
         Jz, r1, r2, B1, B2, T = arrays
         beta = 1.0 / T
-        R1, R2 = _hypot(r1, B1 + B2), _hypot(r2, B1 - B2)
         exponents = [-beta * e for e in (Jz + R1, Jz - R1, -Jz + R2, -Jz - R2)]
         m = np.maximum(np.maximum(np.maximum(exponents[0], exponents[1]), exponents[2]), exponents[3])
         w1, w2, w3, w4 = (np.exp(e - m) for e in exponents)

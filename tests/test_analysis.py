@@ -13,6 +13,7 @@ from conftest import (
     FIELD_SWEEP_BASE,
 )
 from qxcorr import (
+    SweepRow,
     SweepSpec,
     XStateParams,
     bell_diagonal_boundary,
@@ -64,7 +65,13 @@ class TestSweep:
         spec = temperature_spec(ANTIFERRO_STRONG, 0.5, 3.0, 40)
         assert sweep(spec, jobs=2) == sweep(spec, jobs=1)
 
-    @pytest.mark.parametrize("variable, start, stop", [("T", 1e-3, 3.0), ("B1", -6.0, 6.0)])
+    @pytest.mark.parametrize(
+        "variable, start, stop",
+        [
+            ("T", 1e-3, 3.0), ("B1", -6.0, 6.0), ("B2", -6.0, 6.0),
+            ("r1", 0.0, 4.0), ("r2", 0.0, 4.0), ("Jz", -3.0, 3.0),
+        ],
+    )
     def test_point_bits_do_not_depend_on_the_grid(self, variable, start, stop):
         # 10,000 points span ten kernel blocks; a point alone, the whole grid in
         # one call and the blocked sweep must give the same bits
@@ -74,11 +81,31 @@ class TestSweep:
         fixed = dataclasses.asdict(spec.base)
         whole = [column.tolist() for column in thermal_branches(**{**fixed, variable: grid})]
         rows = sweep(spec)
-        assert [dataclasses.astuple(r)[1:] for r in rows] == list(zip(*whole))
+        assert [tuple(r)[1:] for r in rows] == list(zip(*whole))
         for i in [*range(0, len(grid), 97), len(grid) - 1]:
             for value in (grid[i], [grid[i]]):
                 alone = thermal_branches(**{**fixed, variable: value})
                 assert [np.ravel(column).tolist()[0] for column in alone] == [column[i] for column in whole]
+
+    def test_plane_bits_match_single_points(self):
+        # a T column against a B1 row: the radii vary along B1 only, and every
+        # element of the plane must carry the bits of its point evaluated alone
+        fixed = {k: v for k, v in ANTIFERRO_STRONG.items() if k != "B1"}
+        temperatures = np.linspace(0.05, 3.0, 23)
+        fields = np.linspace(-6.0, 6.0, 31)
+        plane = thermal_branches(**fixed, B1=fields[None, :], T=temperatures[:, None])
+        assert all(np.shape(column) == (23, 31) for column in plane)
+        for i, t in enumerate(temperatures.tolist()):
+            for j, b1 in enumerate(fields.tolist()):
+                alone = thermal_branches(**fixed, B1=b1, T=t)
+                assert [np.ravel(column).tolist()[0] for column in alone] == [column[i, j] for column in plane]
+
+    def test_rows_are_immutable_hashable_named_tuples(self):
+        assert SweepRow._fields == ("x", "f0", "f1", "f", "f_branch", "u0", "u1", "u", "u_branch")
+        rows = sweep(temperature_spec(ANTIFERRO_STRONG, 0.5, 3.0, 5))
+        with pytest.raises(AttributeError):
+            rows[0].f = 0.0
+        assert len({*rows, *sweep(temperature_spec(ANTIFERRO_STRONG, 0.5, 3.0, 5))}) == 5
 
     def test_rejects_bad_specs(self):
         base = XStateParams(**FERRO_WEAK_FIELD, T=1.0)

@@ -2,12 +2,15 @@
 
 import argparse
 import hashlib
+import operator
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qxcorr import cli, correlations, oracle
+from qxcorr import SweepRow, cli, correlations, oracle
 from qxcorr.cli import MAX_JOBS, MAX_POINTS, DomainError, main, parse_config
 
 WEAK_FIELD_FLAGS = ["--Jz", "-1", "--r1", "0.5", "--r2", "1", "--B1", "-0.4", "--B2", "0.7"]
@@ -33,6 +36,18 @@ SAME_VALUE_RUNS = {
         "plot-script": "true", "jobs": "2", "seed": "7",
     },
 }
+
+_NEAR_SCALES = st.one_of(*(st.floats(min_value=0.9 * s, max_value=1.1 * s) for s in (1e-12, 1e12, 1e16)))
+# the row fields: every double (subnormals, nan and infinities included), with
+# extra weight on zeros, tiny values, integers, and values near 1e-12, 1e12, 1e16
+ROW_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-(2**60), 2**60).map(float),
+    st.builds(operator.mul, _NEAR_SCALES, st.sampled_from([1.0, -1.0])),
+)
+ROW_LABELS = st.sampled_from(["0", "1", "boundary"])
 
 
 def as_flag(key, value):
@@ -207,6 +222,14 @@ class TestEval:
         assert float(row[7]) == pytest.approx(0.735294, abs=1e-4)  # U column
         assert row[4] == "0" and row[8] == "0"
 
+    def test_eval_bytes_pinned(self, capsys):
+        # digest of the per-field formatting that preceded the shared row format
+        code, out, _ = run_cli(capsys, "--mode", "eval", *STRONG_FLAGS, "--T", "0.8", "--format", "tsv")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "5a401a4dcbd9efcf399143b430ef8a43b06395bee15b92a065a5c8af3a33b8c1"
+        )
+
     def test_full_hamiltonian_matches_reduced(self, capsys):
         _, reduced, _ = run_cli(capsys, "--mode", "eval", *WEAK_FIELD_FLAGS, "--T", "1")
         _, full, _ = run_cli(
@@ -334,6 +357,44 @@ class TestSweepOutput:
         out_file = tmp_path / f"scan.{fmt}"
         assert run_cli(capsys, *README_SWEEP, "--format", fmt, "--out", str(out_file))[:2] == (0, "")
         assert out_file.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ["--var", "T", "--from", "0.001", "--to", "3", "--points", "10000"],
+                "6f68af6afab06649654c5e45d66c8111701cb1d01bd79cae0882e1a7accead07",
+            ),
+            (
+                ["--T", "0.8", "--var", "B1", "--from", "-3", "--to", "3", "--points", "2049", "--format", "tsv"],
+                "60c5c1f9a54162bb4f345c16fb739858a48b3a2d2da653166c165c043b7a885e",
+            ),
+            (
+                ["--T", "0.8", "--var", "r1", "--from", "0", "--to", "4", "--points", "1025"],
+                "869601eb8c78b99759a1b1d3369565298b3b6d8fda22a00971f5ff26b4553a81",
+            ),
+        ],
+    )
+    def test_sweep_bytes_pinned_across_format_blocks(self, capsys, tmp_path, args, digest):
+        # digests of the per-line formatting that preceded block formatting; each
+        # sweep crosses at least one boundary of the 1,024-row format blocks
+        code, out, _ = run_cli(capsys, "--mode", "sweep", *STRONG_FLAGS, *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        out_file = tmp_path / "scan.out"
+        assert run_cli(capsys, "--mode", "sweep", *STRONG_FLAGS, *args, "--out", str(out_file))[:2] == (0, "")
+        assert out_file.read_bytes() == out.encode("utf-8")
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        numbers=st.lists(ROW_FLOATS, min_size=7, max_size=7),
+        labels=st.lists(ROW_LABELS, min_size=2, max_size=2),
+    )
+    def test_row_format_matches_per_field_formatting(self, numbers, labels):
+        row = SweepRow(*numbers[:4], labels[0], *numbers[4:], labels[1])
+        for sep in (",", "\t"):
+            fields = (value if isinstance(value, str) else format(value, ".12g") for value in row)
+            assert cli._ROW_FORMATS[sep] % row == sep.join(fields) + "\n"
 
     def test_unwritable_output_is_io_error(self, capsys, tmp_path):
         code, _, _ = run_cli(
