@@ -9,7 +9,10 @@ matrix, which yields two analytic branches per measure:
 and the measure is the pointwise minimum of the branches.  Each moment has a
 simplified matrix-element form, a raw spectral-sum form kept as an internal
 cross-check, and a direct thermal form in the reduced parameters
-(Jz, r1, r2, B1, B2, T), per point and over arrays (``thermal_branches``).
+(Jz, r1, r2, B1, B2, T).  The thermal branches are written once and evaluated
+with ``math`` for single points and with numpy over arrays
+(``thermal_branches``); the two differ by a few ulp at most, since numpy's
+``exp`` is not ``math.exp``.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .oracle import spectral_moments
 from .xalgebra import eigenframe, local_spin_in_eigenbasis, spectrum
-from .xmodel import XMatrix, XStateParams, _shifted_weights, dephase, gibbs_xstate, realize
+from .xmodel import XMatrix, XStateParams, dephase, gibbs_xstate, realize
 
 __all__ = [
     "MomentDiagonal",
@@ -65,12 +69,12 @@ class MomentDiagonal:
         return cls(xx=float(k[0, 0]), yy=float(k[1, 1]), zz=float(k[2, 2]))
 
 
-@dataclass(frozen=True)
-class BranchPair:
+class BranchPair(NamedTuple):
     """Both analytic branches of a measure plus the selected minimum.
 
     ``active`` is "0", "1", or "boundary" when the branches agree within
-    ``BOUNDARY_TOL``.
+    ``BOUNDARY_TOL``.  A named tuple: iterable, and equal to the plain tuple of
+    its four fields.
     """
 
     branch0: float
@@ -107,12 +111,49 @@ def _clip01(value: float) -> float:
     return value
 
 
+class _Floats:
+    """Evaluator of the shared formulas on single floats, with ``math``.
+
+    ``where`` and ``ratio`` receive both alternatives already evaluated, so
+    each division that can meet a zero denominator goes through ``ratio``,
+    which divides only where ``ok``.
+    """
+
+    exp, expm1, hypot, maximum = math.exp, math.expm1, math.hypot, max
+
+    @staticmethod
+    def where(cond, a, b):
+        return a if cond else b
+
+    @staticmethod
+    def ratio(num, den, ok):
+        return num / den if ok else 0.0
+
+
+class _Arrays:
+    """Evaluator of the shared formulas elementwise over numpy arrays."""
+
+    exp, expm1, maximum, where = np.exp, np.expm1, np.maximum, np.where
+
+    @staticmethod
+    def hypot(a, b):
+        """``math.hypot`` elementwise over the broadcast of ``a`` and ``b``.  It is
+        correctly rounded and ``np.hypot`` is not; a last-bit change in a radius
+        grows by beta in the Boltzmann exponents."""
+        a, b = np.broadcast_arrays(a, b)
+        return np.fromiter(map(math.hypot, a.ravel().tolist(), b.ravel().tolist()), float, a.size).reshape(a.shape)
+
+    @staticmethod
+    def ratio(num, den, ok):
+        return np.where(ok, num / den, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # matrix-element forms
 # ---------------------------------------------------------------------------
 
 
-def _transverse_moment_scale(p1: float, p2: float, p3: float, p4: float) -> float:
+def _transverse_moment_scale(xp, p1, p2, p3, p4):
     """Shared weight of the xx/yy Fisher moments from block eigenvalues.
 
     The moments equal 4 * numerator_core * scale with
@@ -125,15 +166,14 @@ def _transverse_moment_scale(p1: float, p2: float, p3: float, p4: float) -> floa
     to its exact limit 1/(p1+p3), which also covers underflowed occupations
     near level degeneracies.
     """
-    if p1 + p2 <= _EMPTY_BLOCK or p3 + p4 <= _EMPTY_BLOCK:
-        # the state lives in a single anti-diagonal block; sigma_x/sigma_y only
-        # connect across blocks, so both transverse moments vanish
-        return 0.0
-    if p2 + p4 <= _EMPTY_BLOCK:
-        return 4.0 / (p1 + p3)
+    # outside both_blocks the state lives in a single anti-diagonal block;
+    # sigma_x/sigma_y only connect across blocks, so both moments vanish
+    both_blocks = (p1 + p2 > _EMPTY_BLOCK) & (p3 + p4 > _EMPTY_BLOCK)
+    minors = p2 + p4 > _EMPTY_BLOCK
     pair_products = (p1 + p3) * (p1 + p4) * (p2 + p3) * (p2 + p4)
     weight = (p1 + p2) * p3 * p4 + (p3 + p4) * p1 * p2
-    return 4.0 * weight / pair_products
+    scale = xp.ratio(4.0 * weight, pair_products, both_blocks & minors)
+    return xp.where(minors, scale, xp.ratio(4.0, p1 + p3, both_blocks))
 
 
 def m_eigenvalues(x: XMatrix) -> MomentDiagonal:
@@ -149,15 +189,11 @@ def m_eigenvalues(x: XMatrix) -> MomentDiagonal:
     ad = x.a + x.d
     bc = x.b + x.c
 
-    zz = 1.0
-    if ad > _EMPTY_BLOCK:
-        zz -= 4.0 * u * u / ad
-    if bc > _EMPTY_BLOCK:
-        zz -= 4.0 * v * v / bc
+    zz = 1.0 - _Floats.ratio(4.0 * u * u, ad, ad > _EMPTY_BLOCK) - _Floats.ratio(4.0 * v * v, bc, bc > _EMPTY_BLOCK)
 
     core = x.a * x.c + x.b * x.d + s.p1 * s.p2 + s.p3 * s.p4
     cross = 2.0 * u * v
-    scale = _transverse_moment_scale(s.p1, s.p2, s.p3, s.p4)
+    scale = _transverse_moment_scale(_Floats, s.p1, s.p2, s.p3, s.p4)
     return MomentDiagonal(xx=(core + cross) * scale, yy=(core - cross) * scale, zz=zz)
 
 
@@ -245,72 +281,71 @@ def lqu_x(x: XMatrix) -> BranchPair:
 # ---------------------------------------------------------------------------
 
 
-def _thermal_setup(p: XStateParams):
+def _thermal_setup(xp, Jz, r1, r2, B1, B2, T):
     """Shifted Boltzmann weights, radii and coupling factors for the reduced parameterization.
 
+    Returns ``(w1, w2, w3, w4, zt, m, beta, R1, R2, rr1, rr2, kappa)``: the
+    weights exp(-beta E - m) of the levels Jz + R1, Jz - R1, -Jz + R2, -Jz - R2
+    with m the largest exponent (the largest weight is exactly 1, so nothing
+    overflows at low temperature), their sum ``zt`` and the shift ``m``.
     ``rr1``, ``rr2`` are the squared shares (r/R)^2 of the couplings in the
     radii, and ``kappa = (r1 r2 + B2^2 - B1^2)/(R1 R2)`` is bounded by 1 in
-    magnitude (Cauchy-Schwarz); all three vanish with their radii.
+    magnitude (Cauchy-Schwarz); all three vanish with their radii.  Arrays
+    broadcast as they meet, so a T cut takes the radii with two ``hypot`` calls.
     """
-    beta = 1.0 / p.T
-    R1 = math.hypot(p.r1, p.B1 + p.B2)
-    R2 = math.hypot(p.r2, p.B1 - p.B2)
-    levels = (p.Jz + R1, p.Jz - R1, -p.Jz + R2, -p.Jz - R2)
-    weights, m = _shifted_weights(levels, beta)
-    rr1 = (p.r1 / R1) ** 2 if R1 > 0.0 else 0.0
-    rr2 = (p.r2 / R2) ** 2 if R2 > 0.0 else 0.0
+    R1, R2 = xp.hypot(r1, B1 + B2), xp.hypot(r2, B1 - B2)
+    beta = 1.0 / T
+    e1, e2, e3, e4 = -beta * (Jz + R1), -beta * (Jz - R1), -beta * (-Jz + R2), -beta * (-Jz - R2)
+    m = xp.maximum(xp.maximum(xp.maximum(e1, e2), e3), e4)
+    w1, w2, w3, w4 = xp.exp(e1 - m), xp.exp(e2 - m), xp.exp(e3 - m), xp.exp(e4 - m)
+    rr1, rr2 = xp.ratio(r1, R1, R1 > 0.0) ** 2, xp.ratio(r2, R2, R2 > 0.0) ** 2
     prod = R1 * R2
-    kappa = (p.r1 * p.r2 + p.B2 * p.B2 - p.B1 * p.B1) / prod if prod != 0.0 else 0.0
-    return weights, sum(weights), m, R1, R2, beta, rr1, rr2, kappa
+    kappa = xp.ratio(r1 * r2 + B2 * B2 - B1 * B1, prod, prod != 0.0)
+    return w1, w2, w3, w4, w1 + w2 + w3 + w4, m, beta, R1, R2, rr1, rr2, kappa
 
 
-def lqfi_thermal(p: XStateParams) -> BranchPair:
-    """Both LQFI branches directly from the reduced thermal parameters.
+def _lqfi_branches(xp, setup):
+    """Both LQFI branches from ``_thermal_setup``.
 
     Branch 0 uses sinh*tanh weights of the two radii; branch 1 is the ratio of
     occupation products, evaluated entirely in shifted Boltzmann weights so
-    that no hyperbolic function overflows at low temperature.  One derivation
-    written twice, with ``thermal_branches``, tied by a test.
+    that no hyperbolic function overflows at low temperature.
     """
-    (w1, w2, w3, w4), zt, _, R1, R2, beta, rr1, rr2, kappa = _thermal_setup(p)
-
-    em1 = -math.expm1(-2.0 * beta * R1)
-    em2 = -math.expm1(-2.0 * beta * R2)
-    f0 = (
-        rr1 * w2 * em1 * em1 / (1.0 + math.exp(-2.0 * beta * R1))
-        + rr2 * w4 * em2 * em2 / (1.0 + math.exp(-2.0 * beta * R2))
-    ) / zt
+    w1, w2, w3, w4, zt, _, beta, R1, R2, rr1, rr2, kappa = setup
+    t1, t2 = -2.0 * beta * R1, -2.0 * beta * R2
+    em1, em2 = -xp.expm1(t1), -xp.expm1(t2)
+    f0 = (rr1 * w2 * em1 * em1 / (1.0 + xp.exp(t1)) + rr2 * w4 * em2 * em2 / (1.0 + xp.exp(t2))) / zt
 
     # occupations sorted within each level pair (w2 >= w1, w4 >= w3 for T > 0)
     p1, p2, p3, p4 = w2 / zt, w1 / zt, w4 / zt, w3 / zt
-    core = (
-        p1 * p2
-        + p3 * p4
-        + 0.5 * (p1 + p2) * (p3 + p4)
-        + 0.5 * kappa * (p1 - p2) * (p3 - p4)
+    core = p1 * p2 + p3 * p4 + 0.5 * (p1 + p2) * (p3 + p4) + 0.5 * kappa * (p1 - p2) * (p3 - p4)
+    return f0, 1.0 - core * _transverse_moment_scale(xp, p1, p2, p3, p4)
+
+
+def _lqu_branches(xp, setup):
+    """Both LQU branches from ``_thermal_setup``."""
+    _, w2, _, w4, zt, m, beta, R1, R2, rr1, rr2, kappa = setup
+    em1, em2 = -xp.expm1(-beta * R1), -xp.expm1(-beta * R2)
+    u0 = (rr1 * w2 * em1 * em1 + rr2 * w4 * em2 * em2) / zt
+
+    x1, x2 = beta * R1, beta * R2
+    bracket = 0.25 * (
+        (1.0 + kappa) * (1.0 + xp.exp(-(x1 + x2))) + (1.0 - kappa) * (xp.exp(-x1) + xp.exp(-x2))
     )
-    f1 = 1.0 - core * _transverse_moment_scale(p1, p2, p3, p4)
-    return BranchPair.from_branches(f0, f1)
+    # exp((x1+x2)/2 - m) <= 1 since the shift m dominates the half-sum exponent
+    return u0, 1.0 - 4.0 * xp.exp(0.5 * (x1 + x2) - m) * bracket / zt
+
+
+def lqfi_thermal(p: XStateParams) -> BranchPair:
+    """Both LQFI branches directly from the reduced thermal parameters."""
+    setup = _thermal_setup(_Floats, p.Jz, p.r1, p.r2, p.B1, p.B2, p.T)
+    return BranchPair.from_branches(*_lqfi_branches(_Floats, setup))
 
 
 def lqu_thermal(p: XStateParams) -> BranchPair:
-    """Both LQU branches directly from the reduced thermal parameters; one
-    derivation written twice, with ``thermal_branches``, tied by a test."""
-    (_, w2, _, w4), zt, m, R1, R2, beta, rr1, rr2, kappa = _thermal_setup(p)
-
-    em1 = -math.expm1(-beta * R1)
-    em2 = -math.expm1(-beta * R2)
-    u0 = (rr1 * w2 * em1 * em1 + rr2 * w4 * em2 * em2) / zt
-
-    x1 = beta * R1
-    x2 = beta * R2
-    bracket = 0.25 * (
-        (1.0 + kappa) * (1.0 + math.exp(-(x1 + x2)))
-        + (1.0 - kappa) * (math.exp(-x1) + math.exp(-x2))
-    )
-    # exp((x1+x2)/2 - m) <= 1 since the shift m dominates the half-sum exponent
-    u1 = 1.0 - 4.0 * math.exp(0.5 * (x1 + x2) - m) * bracket / zt
-    return BranchPair.from_branches(u0, u1)
+    """Both LQU branches directly from the reduced thermal parameters."""
+    setup = _thermal_setup(_Floats, p.Jz, p.r1, p.r2, p.B1, p.B2, p.T)
+    return BranchPair.from_branches(*_lqu_branches(_Floats, setup))
 
 
 #: per measure: both clipped branches, their minimum and its label, as in BranchPair
@@ -325,59 +360,22 @@ def _pair_columns(branch0: np.ndarray, branch1: np.ndarray):
     return b0, b1, np.where(b1 < b0, b1, b0), _LABELS[codes]
 
 
-def _hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``math.hypot`` elementwise over the broadcast of ``a`` and ``b``.  It is
-    correctly rounded and ``np.hypot`` is not; a last-bit change in a radius
-    grows by beta in the Boltzmann exponents."""
-    a, b = np.broadcast_arrays(a, b)
-    return np.fromiter(map(math.hypot, a.ravel().tolist(), b.ravel().tolist()), float, a.size).reshape(a.shape)
-
-
 def thermal_branches(Jz, r1, r2, B1, B2, T) -> ThermalBranches:
     """Both branches of LQFI and LQU over broadcastable parameter arrays.
 
-    ``lqfi_thermal`` and ``lqu_thermal`` over arrays: one derivation written
-    twice, tied by a test.  The guards and the order of every sum are the
-    scalar ones, so values agree to a few ulp (numpy's ``exp`` is not
+    The body of ``lqfi_thermal`` and ``lqu_thermal`` evaluated by numpy, so
+    values agree with theirs to a few ulp (numpy's ``exp`` is not
     ``math.exp``), and a point's bits do not depend on the array around it.
     A non-finite or out-of-domain parameter, or a non-finite branch, raises
     ValueError naming the first such point.
     """
     with np.errstate(all="ignore"):
-        Jz, r1, r2, B1, B2, T = (np.asarray(v, dtype=float) for v in (Jz, r1, r2, B1, B2, T))
-        # the radii on the given shapes: a T cut takes two math.hypot calls, not two per point
-        R1, R2 = _hypot(r1, B1 + B2), _hypot(r2, B1 - B2)
-        *arrays, R1, R2 = np.broadcast_arrays(Jz, r1, r2, B1, B2, T, R1, R2)
-        Jz, r1, r2, B1, B2, T = arrays
-        beta = 1.0 / T
-        exponents = [-beta * e for e in (Jz + R1, Jz - R1, -Jz + R2, -Jz - R2)]
-        m = np.maximum(np.maximum(np.maximum(exponents[0], exponents[1]), exponents[2]), exponents[3])
-        w1, w2, w3, w4 = (np.exp(e - m) for e in exponents)
-        zt = w1 + w2 + w3 + w4
-        rr1, rr2 = (np.where(R > 0.0, (r / R) ** 2, 0.0) for r, R in ((r1, R1), (r2, R2)))
-        kappa = np.where(R1 * R2 != 0.0, (r1 * r2 + B2 * B2 - B1 * B1) / (R1 * R2), 0.0)
-
-        # LQFI as in lqfi_thermal; the masks are the guards of _transverse_moment_scale
-        t1, t2 = -2.0 * beta * R1, -2.0 * beta * R2
-        em1, em2 = -np.expm1(t1), -np.expm1(t2)
-        f0 = (rr1 * w2 * em1 * em1 / (1.0 + np.exp(t1)) + rr2 * w4 * em2 * em2 / (1.0 + np.exp(t2))) / zt
-        p1, p2, p3, p4 = w2 / zt, w1 / zt, w4 / zt, w3 / zt
-        core = p1 * p2 + p3 * p4 + 0.5 * (p1 + p2) * (p3 + p4) + 0.5 * kappa * (p1 - p2) * (p3 - p4)
-        weight = (p1 + p2) * p3 * p4 + (p3 + p4) * p1 * p2
-        scale = 4.0 * weight / ((p1 + p3) * (p1 + p4) * (p2 + p3) * (p2 + p4))
-        scale = np.where(p2 + p4 <= _EMPTY_BLOCK, 4.0 / (p1 + p3), scale)
-        scale = np.where((p1 + p2 <= _EMPTY_BLOCK) | (p3 + p4 <= _EMPTY_BLOCK), 0.0, scale)
-        f1 = 1.0 - core * scale
-
-        # LQU as in lqu_thermal
-        x1, x2 = beta * R1, beta * R2
-        em1, em2 = -np.expm1(-beta * R1), -np.expm1(-beta * R2)
-        u0 = (rr1 * w2 * em1 * em1 + rr2 * w4 * em2 * em2) / zt
-        bracket = 0.25 * (
-            (1.0 + kappa) * (1.0 + np.exp(-(x1 + x2))) + (1.0 - kappa) * (np.exp(-x1) + np.exp(-x2))
-        )
-        u1 = 1.0 - 4.0 * np.exp(0.5 * (x1 + x2) - m) * bracket / zt
-
+        params = [np.asarray(v, dtype=float) for v in (Jz, r1, r2, B1, B2, T)]
+        setup = _thermal_setup(_Arrays, *params)
+        f0, f1 = _lqfi_branches(_Arrays, setup)
+        u0, u1 = _lqu_branches(_Arrays, setup)
+        arrays = np.broadcast_arrays(*params)
+        _, r1, r2, _, _, T = arrays
         valid = np.isfinite(arrays).all(axis=0) & (r1 >= 0.0) & (r2 >= 0.0) & (T > 0.0)
         finite = np.isfinite([f0, f1, u0, u1]).all(axis=0)
     for bad, what in ((~valid, "parameter outside its domain"), (~finite, "non-finite branch")):

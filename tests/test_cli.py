@@ -419,6 +419,18 @@ class TestTransitionsOutput:
         assert measure0 == "LQFI" and float(loc0) == pytest.approx(1.5821, abs=5e-4)
         assert measure1 == "LQU" and float(loc1) == pytest.approx(1.1458, abs=5e-4)
 
+    def test_readme_transitions_bytes_pinned(self, capsys):
+        # "LQFI 1.58215457565 6.939e-14\nLQU 1.14579133159 1.088e-13\n": the .3e
+        # residual reads the scalar gap's bits at each crossing
+        code, out, err = run_cli(
+            capsys, "--mode", "transitions", *STRONG_FLAGS,
+            "--var", "T", "--from", "0.5", "--to", "3",
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "cc2d9ceeafca5770bd9bb6ee196f72faac8f8962a053486758d3d34eb48fa946"
+        )
+
     def test_no_transitions_message(self, capsys):
         code, out, _ = run_cli(
             capsys, "--mode", "transitions", *WEAK_FIELD_FLAGS,

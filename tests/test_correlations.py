@@ -1,6 +1,7 @@
 """Closed-form LQFI/LQU: matrix-element forms, raw cross-checks, thermal forms."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -293,8 +294,8 @@ def test_branch_values_stay_in_unit_interval(jz, r1, r2, b1, b2, t):
         assert pair.value == min(pair.branch0, pair.branch1)
 
 
-# README-scale thermal points plus the degenerate kinds the scalar guards
-# exist for, with T log-uniform in [1e-3, 1e3]
+# README-scale thermal points plus the degenerate kinds the guards exist for,
+# with T log-uniform in [1e-3, 1e3]
 _README_SCALE = 3.4
 _coordinate = st.floats(-_README_SCALE, _README_SCALE, allow_nan=False)
 _radius = st.floats(0.0, _README_SCALE, allow_nan=False)
@@ -325,7 +326,8 @@ def thermal_points(draw):
 
 
 class TestThermalKernel:
-    """``thermal_branches`` against the scalar thermal forms it repeats."""
+    """Two evaluators of one derivation: ``thermal_branches`` (numpy) against
+    the scalar thermal forms (``math``)."""
 
     @settings(max_examples=400, deadline=None)
     @given(thermal_points())
@@ -382,3 +384,73 @@ class TestThermalKernel:
         params[name] = np.array([1.0, bad, bad]) if name != "T" else np.array([0.5, bad, 2.0])
         with pytest.raises(ValueError, match=rf"outside its domain at .*{name}={bad!r}"):
             thermal_branches(**params)
+
+
+def _seeded_thermal_points(seed, count):
+    """``count`` seeded points cycling through the five kinds of ``thermal_points``."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(count):
+        jz, b1, b2 = rng.uniform(-_README_SCALE, _README_SCALE, 3).tolist()
+        r1, r2 = rng.uniform(0.0, _README_SCALE, 2).tolist()
+        t = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
+        kind = i % 5
+        if kind == 1:
+            b1 = b2 = 0.0
+        elif kind == 2:
+            r1, b2 = 0.0, -b1
+        elif kind == 3:
+            r1 = min(r1, 2.0 * abs(jz))
+            r2, b1, b2 = 2.0 * abs(jz) - r1, 0.0, 0.0
+        elif kind == 4:
+            jz = _near_level_crossing(r1, r2, b1, b2, t, float(rng.uniform(-1.0, 1.0)))
+        points.append(XStateParams(Jz=jz, r1=r1, r2=r2, B1=b1, B2=b2, T=t))
+    return points
+
+
+def _bits_digest(rows):
+    """sha256 of ``float.hex`` of every value (labels as they are), one line per row."""
+    digest = hashlib.sha256()
+    for row in rows:
+        digest.update(" ".join(v if isinstance(v, str) else float(v).hex() for v in row).encode() + b"\n")
+    return digest.hexdigest()
+
+
+class TestOutputBits:
+    """Every output bit of the thermal forms, the kernel and the Fisher diagonal,
+    pinned by digests taken before the scalar and array evaluators shared one body."""
+
+    POINTS = _seeded_thermal_points(2022, 2000)
+
+    def test_scalar_thermal_forms(self):
+        rows = [f(p) for p in self.POINTS for f in (lqfi_thermal, lqu_thermal)]
+        assert _bits_digest(rows) == (
+            "4f4f747c63fd458e01ef27803f54e5a5b3611ba96ffce32fe316679b62a46dd7"
+        )
+
+    def test_kernel(self):
+        names = ("Jz", "r1", "r2", "B1", "B2", "T")
+        columns = thermal_branches(*(np.array([getattr(p, name) for p in self.POINTS]) for name in names))
+        assert _bits_digest(zip(*columns)) == (
+            "7e7a92edb1f75d4d5df5cee5f4ab8f8350364b8492499b80ea44405570ea3c81"
+        )
+
+    def test_fisher_diagonal_and_lqfi_x(self):
+        rng = np.random.default_rng(2022)
+        states = [random_x_state(rng) for _ in range(1000)] + [
+            MIXED,
+            BELL,
+            INNER_ONLY,
+            XMatrix(a=1.0, b=0.0, c=0.0, d=0.0),
+            XMatrix(a=0.5, b=0.5, c=0.0, d=0.0),
+            XMatrix(a=0.7, b=0.0, c=0.0, d=0.3, u=0.2),
+            XMatrix(a=1e-15, b=0.6, c=0.4 - 1e-15, d=0.0, v=0.3),
+            XMatrix(a=0.4, b=1e-15, c=0.0, d=0.6 - 1e-15, u=0.2),
+        ]
+        rows = []
+        for x in states:
+            m = m_eigenvalues(x)
+            rows.append((m.xx, m.yy, m.zz, *lqfi_x(x)))
+        assert _bits_digest(rows) == (
+            "60ffcf227b2050cd0deb871cfe2e70d7d71564a693e8ff4c06e6d90320d1c7f7"
+        )
