@@ -1,6 +1,12 @@
 """Local quantum Fisher information and local quantum uncertainty for two-qubit
 X states, with thermal-model sweeps, sudden-transition location, and an
-independent brute-force verification path."""
+independent brute-force verification path.
+
+Importing the package loads no numpy: the closed forms run on ``math``, and
+numpy is imported by the first array operation.  The oracle's names below are
+re-exported lazily, so ``from qxcorr import jacobi_eigh`` loads the oracle and
+numpy on that line.
+"""
 
 from .analysis import (
     BoundaryClassification,
@@ -30,18 +36,6 @@ from .limits import (
     high_t_series,
     zero_t_limit,
 )
-from .oracle import (
-    fibonacci_sphere,
-    jacobi_eigh,
-    lambda_max_closed,
-    lambda_max_jacobi,
-    minimize_over_observables,
-    oracle_m_matrix,
-    oracle_w_matrix,
-    random_x_state,
-    spectral_moments,
-    validate_density_matrix,
-)
 from .xalgebra import EigenFrame, XSpectrum, eigenframe, local_spin_in_eigenbasis, spectrum
 from .xmodel import (
     DerivedRadii,
@@ -58,6 +52,28 @@ from .xmodel import (
 )
 
 __version__ = "0.1.0"
+
+#: names re-exported from ``oracle`` on first access (PEP 562)
+_ORACLE_NAMES = (
+    "fibonacci_sphere",
+    "jacobi_eigh",
+    "lambda_max_closed",
+    "lambda_max_jacobi",
+    "minimize_over_observables",
+    "oracle_m_matrix",
+    "oracle_w_matrix",
+    "random_x_state",
+    "spectral_moments",
+    "validate_density_matrix",
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BoundaryClassification",

@@ -61,6 +61,8 @@ class SweepSpec:
             raise ValueError("sweep endpoints must be finite")
         if not self.start < self.stop:
             raise ValueError(f"empty sweep range [{self.start!r}, {self.stop!r}]")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError(f"sweep range [{self.start!r}, {self.stop!r}] is wider than the float range")
         if self.points < 2:
             raise ValueError(f"need at least two grid points, got {self.points}")
         if self.variable == "T" and self.start <= 0.0:

@@ -3,6 +3,8 @@
 Exit codes: 0 success, 2 usage, 3 configuration, 4 domain validation,
 5 I/O failure, 6 selftest deviation above tolerance.  All output formatting is
 locale-independent and byte-reproducible for identical configurations.
+Eval mode, ``--T0`` and transitions never load numpy; sweep and selftest load
+it on their first array operation.
 """
 
 from __future__ import annotations
@@ -15,12 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from .analysis import _SWEEP_BLOCK, SWEEP_VARIABLES, SweepSpec, SweepRow, _row, find_transitions, sweep
 from .correlations import lqu_x, lqfi_x
 from .limits import IndeterminateZeroTemperatureLimit, zero_t_limit
-from .oracle import lambda_max_closed, oracle_m_matrix, oracle_w_matrix, random_x_state
 from .xmodel import HamiltonianParams, XStateParams, derived_radii
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
@@ -337,6 +336,10 @@ def _run_transitions(config: RunConfig) -> int:
 
 
 def _run_selftest(config: RunConfig) -> int:
+    import numpy as np
+
+    from .oracle import lambda_max_closed, oracle_m_matrix, oracle_w_matrix, random_x_state
+
     rng = np.random.default_rng(config.seed)
     states = [random_x_state(rng) for _ in range(SELFTEST_STATES)]
     closed_f = np.array([lqfi_x(x).value for x in states])

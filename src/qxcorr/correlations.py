@@ -12,21 +12,22 @@ cross-check, and a direct thermal form in the reduced parameters
 (Jz, r1, r2, B1, B2, T).  The thermal branches are written once and evaluated
 with ``math`` for single points and with numpy over arrays
 (``thermal_branches``); the two differ by a few ulp at most, since numpy's
-``exp`` is not ``math.exp``.
+``exp`` is not ``math.exp``.  Only the array evaluator and the raw forms use
+numpy, and they import it when first called.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .oracle import spectral_moments
 from .xalgebra import eigenframe, local_spin_in_eigenbasis, spectrum
 from .xmodel import XMatrix, XStateParams, dephase, gibbs_xstate, realize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MomentDiagonal",
@@ -55,9 +56,9 @@ _EMPTY_BLOCK = 1e-14
 _RATIO_DEN_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class MomentDiagonal:
-    """Diagonal entries of a Fisher or skew-information moment matrix; xx >= yy always."""
+class MomentDiagonal(NamedTuple):
+    """Diagonal entries of a Fisher or skew-information moment matrix; xx >= yy
+    always.  A named tuple, like ``BranchPair``."""
 
     xx: float
     yy: float
@@ -66,7 +67,7 @@ class MomentDiagonal:
     @classmethod
     def of(cls, k: np.ndarray) -> "MomentDiagonal":
         """The diagonal of a 3x3 moment matrix."""
-        return cls(xx=float(k[0, 0]), yy=float(k[1, 1]), zz=float(k[2, 2]))
+        return cls(float(k[0, 0]), float(k[1, 1]), float(k[2, 2]))
 
 
 class BranchPair(NamedTuple):
@@ -130,22 +131,36 @@ class _Floats:
         return num / den if ok else 0.0
 
 
-class _Arrays:
-    """Evaluator of the shared formulas elementwise over numpy arrays."""
+@functools.cache
+def _arrays():
+    """The evaluator of the shared formulas elementwise over numpy arrays, built
+    on the first array evaluation so that importing this module loads no numpy."""
+    import numpy as np
 
-    exp, expm1, maximum, where = np.exp, np.expm1, np.maximum, np.where
+    class _Arrays:
+        exp, expm1, maximum, where = np.exp, np.expm1, np.maximum, np.where
 
-    @staticmethod
-    def hypot(a, b):
-        """``math.hypot`` elementwise over the broadcast of ``a`` and ``b``.  It is
-        correctly rounded and ``np.hypot`` is not; a last-bit change in a radius
-        grows by beta in the Boltzmann exponents."""
-        a, b = np.broadcast_arrays(a, b)
-        return np.fromiter(map(math.hypot, a.ravel().tolist(), b.ravel().tolist()), float, a.size).reshape(a.shape)
+        @staticmethod
+        def hypot(a, b):
+            """``math.hypot`` elementwise over the broadcast of ``a`` and ``b``.  It is
+            correctly rounded and ``np.hypot`` is not; a last-bit change in a radius
+            grows by beta in the Boltzmann exponents."""
+            a, b = np.broadcast_arrays(a, b)
+            return np.fromiter(map(math.hypot, a.ravel().tolist(), b.ravel().tolist()), float, a.size).reshape(a.shape)
 
-    @staticmethod
-    def ratio(num, den, ok):
-        return np.where(ok, num / den, 0.0)
+        @staticmethod
+        def ratio(num, den, ok):
+            return np.where(ok, num / den, 0.0)
+
+    return _Arrays
+
+
+@functools.cache
+def _spectral_moments():
+    """The oracle's ``spectral_moments``, bound on first use (the oracle loads numpy)."""
+    from .oracle import spectral_moments
+
+    return spectral_moments
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +248,8 @@ def w_eigenvalues(x: XMatrix) -> MomentDiagonal:
 
 def _frame_eigenvalues_and_spins(x: XMatrix):
     """Frame-diagonal eigenvalues paired with the conjugated spin operators."""
+    import numpy as np
+
     frame = eigenframe(x)
     u = abs(x.u)
     v = abs(x.v)
@@ -256,12 +273,12 @@ def m_eigenvalues_raw(x: XMatrix) -> MomentDiagonal:
     Sums 2 p_m p_n / (p_m + p_n) |<m|sigma x I|n>|^2 over eigenvector pairs in
     the closed-form frame, skipping pairs with vanishing total weight.
     """
-    return MomentDiagonal.of(spectral_moments(*_frame_eigenvalues_and_spins(x), "fisher"))
+    return MomentDiagonal.of(_spectral_moments()(*_frame_eigenvalues_and_spins(x), "fisher"))
 
 
 def w_eigenvalues_raw(x: XMatrix) -> MomentDiagonal:
     """Raw spectral-sum form of the skew moments (internal cross-check)."""
-    return MomentDiagonal.of(spectral_moments(*_frame_eigenvalues_and_spins(x), "skew"))
+    return MomentDiagonal.of(_spectral_moments()(*_frame_eigenvalues_and_spins(x), "skew"))
 
 
 def lqfi_x(x: XMatrix) -> BranchPair:
@@ -350,14 +367,16 @@ def lqu_thermal(p: XStateParams) -> BranchPair:
 
 #: per measure: both clipped branches, their minimum and its label, as in BranchPair
 ThermalBranches = namedtuple("ThermalBranches", "f0 f1 f f_branch u0 u1 u u_branch")
-_LABELS = np.array(["0", "1", "boundary"], dtype=object)
 
 
 def _pair_columns(branch0: np.ndarray, branch1: np.ndarray):
     """Array copy of ``BranchPair.from_branches``: clipped branches, minimum, labels."""
+    import numpy as np
+
     b0, b1 = (np.where(b < 0.0, 0.0, np.where(b > 1.0, 1.0, b)) for b in (branch0, branch1))
     codes = np.where(np.abs(b0 - b1) < BOUNDARY_TOL, 2, np.where(b0 < b1, 0, 1))
-    return b0, b1, np.where(b1 < b0, b1, b0), _LABELS[codes]
+    labels = np.array(["0", "1", "boundary"], dtype=object)
+    return b0, b1, np.where(b1 < b0, b1, b0), labels[codes]
 
 
 def thermal_branches(Jz, r1, r2, B1, B2, T) -> ThermalBranches:
@@ -369,11 +388,14 @@ def thermal_branches(Jz, r1, r2, B1, B2, T) -> ThermalBranches:
     A non-finite or out-of-domain parameter, or a non-finite branch, raises
     ValueError naming the first such point.
     """
+    import numpy as np
+
+    xp = _arrays()
     with np.errstate(all="ignore"):
         params = [np.asarray(v, dtype=float) for v in (Jz, r1, r2, B1, B2, T)]
-        setup = _thermal_setup(_Arrays, *params)
-        f0, f1 = _lqfi_branches(_Arrays, setup)
-        u0, u1 = _lqu_branches(_Arrays, setup)
+        setup = _thermal_setup(xp, *params)
+        f0, f1 = _lqfi_branches(xp, setup)
+        u0, u1 = _lqu_branches(xp, setup)
         arrays = np.broadcast_arrays(*params)
         _, r1, r2, _, _, T = arrays
         valid = np.isfinite(arrays).all(axis=0) & (r1 >= 0.0) & (r2 >= 0.0) & (T > 0.0)

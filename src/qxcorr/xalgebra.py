@@ -9,13 +9,16 @@ conjugated into that frame feed the raw spectral-sum cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .oracle import LOCAL_SPIN
 from .xmodel import XMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "XSpectrum",
@@ -36,19 +39,40 @@ DEGENERACY_THRESHOLD = 1e-24
 # absolute noise relative to the block sum (their assembly may cancel O(1)
 # intermediates).  Such eigenvalues snap to exactly zero so that sqrt(p) terms
 # stay consistent between independent evaluation routes.
-_DET_NOISE_FACTOR = 8.0 * np.finfo(float).eps
+_DET_NOISE_FACTOR = 8.0 * sys.float_info.epsilon
 
-# Simultaneous swap of the 2nd and 4th rows and columns; maps the X pattern to
-# block-diagonal form.
-BLOCK_PERMUTATION = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-    ]
-)
-BLOCK_PERMUTATION.flags.writeable = False  # shared by every EigenFrame
+
+@functools.cache
+def _block_permutation() -> np.ndarray:
+    """Simultaneous swap of the 2nd and 4th rows and columns; maps the X pattern
+    to block-diagonal form.  Built on first use, then shared read-only by every
+    EigenFrame and exported as ``BLOCK_PERMUTATION``."""
+    import numpy as np
+
+    perm = np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+        ]
+    )
+    perm.flags.writeable = False
+    return perm
+
+
+@functools.cache
+def _local_spin():
+    """The oracle's ``LOCAL_SPIN``, bound on first use (the oracle loads numpy)."""
+    from .oracle import LOCAL_SPIN
+
+    return LOCAL_SPIN
+
+
+def __getattr__(name: str):
+    if name == "BLOCK_PERMUTATION":
+        return _block_permutation()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +98,8 @@ def _block_spectrum(top: float, bottom: float, coh: float) -> tuple[float, float
     any noise in it.  Determinants below the rounding scale of the entries
     themselves snap to exactly zero.
     """
+    import numpy as np
+
     gap = top - bottom
     s = math.hypot(gap, 2.0 * coh)
     hi = 0.5 * ((top + bottom) + s)
@@ -115,6 +141,8 @@ def _rotation_blocks(x: XMatrix) -> tuple[np.ndarray, np.ndarray]:
     A block with q^2 + coherence^2 below ``DEGENERACY_THRESHOLD`` is already
     proportional to identity (or diagonal), so its rotation is the identity.
     """
+    import numpy as np
+
     s = spectrum(x)
     u = abs(x.u)
     v = abs(x.v)
@@ -147,11 +175,14 @@ class EigenFrame:
 
 
 def eigenframe(x: XMatrix) -> EigenFrame:
+    import numpy as np
+
     b1, b2 = _rotation_blocks(x)
     rot = np.zeros((4, 4))
     rot[:2, :2] = b1
     rot[2:, 2:] = b2
-    return EigenFrame(permutation=BLOCK_PERMUTATION, rotation=rot, transform=BLOCK_PERMUTATION @ rot)
+    perm = _block_permutation()
+    return EigenFrame(permutation=perm, rotation=rot, transform=perm @ rot)
 
 
 def local_spin_in_eigenbasis(x: XMatrix, axis: str, frame: EigenFrame | None = None) -> np.ndarray:
@@ -164,9 +195,10 @@ def local_spin_in_eigenbasis(x: XMatrix, axis: str, frame: EigenFrame | None = N
     imaginary).  Pass ``frame``, the ``eigenframe`` of
     ``x``, to reuse it instead of building it again.
     """
-    if axis not in LOCAL_SPIN:
+    spin = _local_spin()
+    if axis not in spin:
         raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
     if frame is None:
         frame = eigenframe(x)
     f = frame.transform
-    return f.T @ LOCAL_SPIN[axis] @ f
+    return f.T @ spin[axis] @ f

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HamiltonianParams",
@@ -120,6 +122,8 @@ class XMatrix:
 
     def as_matrix(self) -> np.ndarray:
         """Dense 4x4 complex matrix in the product basis |00>, |01>, |10>, |11>."""
+        import numpy as np
+
         u = complex(self.u)
         v = complex(self.v)
         return np.array(
@@ -135,6 +139,8 @@ class XMatrix:
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "XMatrix":
         """Build from a dense 4x4 matrix, rejecting entries off the X pattern beyond XMATRIX_ATOL."""
+        import numpy as np
+
         m = np.asarray(m, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
@@ -202,6 +208,8 @@ def realize(p: XStateParams) -> HamiltonianParams:
 
 def hamiltonian_matrix(h: HamiltonianParams) -> np.ndarray:
     """Dense 4x4 Hamiltonian in the product basis |00>, |01>, |10>, |11>."""
+    import numpy as np
+
     return np.array(
         [
             [h.Jz + h.B1 + h.B2, 0.0, 0.0, h.Jx - h.Jy - 2j * h.Gz],

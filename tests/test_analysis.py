@@ -1,6 +1,8 @@
 """Sweeps, sudden-transition location, and the zero-field branch boundary."""
 
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +119,15 @@ class TestSweep:
             SweepSpec(base=base, variable="Jx", start=0.0, stop=1.0, points=10)
         with pytest.raises(ValueError):
             SweepSpec(base=base, variable="B1", start=0.0, stop=1.0, points=1)
+
+    @pytest.mark.parametrize("start, stop", [(-1e308, 1e308), (-1e308, 8e307)])
+    def test_rejects_range_wider_than_floats(self, start, stop):
+        base = XStateParams(**FERRO_WEAK_FIELD, T=1.0)
+        with pytest.raises(ValueError, match=re.escape(f"[{start!r}, {stop!r}] is wider than the float range")):
+            SweepSpec(base=base, variable="B1", start=start, stop=stop, points=10)
+        # half the range has a finite width, and its grid is finite
+        half = SweepSpec(base=base, variable="B1", start=start / 2, stop=stop / 2, points=10)
+        assert all(math.isfinite(x) for x in half.grid())
 
 
 class TestFindTransitions:

@@ -3,7 +3,9 @@
 import argparse
 import hashlib
 import operator
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +138,16 @@ class TestParsing:
             "--var", "B1", "--from", "2", "--to", "1",
         )
         assert code == 4
+
+    @pytest.mark.parametrize("mode", ["sweep", "transitions"])
+    def test_range_wider_than_floats_is_domain_error_naming_it(self, capsys, mode):
+        # stop - start overflows; the grid would hand the kernel a nan the user never typed
+        code, out, err = run_cli(
+            capsys, "--mode", mode, *WEAK_FIELD_FLAGS, "--T", "1", "--var", "B1", "--from=-1e308", "--to=1e308",
+        )
+        assert (code, out) == (4, "")
+        assert "sweep range [-1e+308, 1e+308] is wider than the float range" in err
+        assert "nan" not in err
 
     def test_missing_temperature_for_eval(self, capsys):
         code, _, err = run_cli(capsys, "--mode", "eval", *WEAK_FIELD_FLAGS)
@@ -551,6 +563,85 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "False"
+
+    def test_import_and_scalar_runs_leave_numpy_unloaded(self):
+        script = f"""
+import contextlib, hashlib, io, sys
+from qxcorr.cli import main
+loaded = ["numpy" in sys.modules]
+runs = [
+    ["--mode", "eval", *{WEAK_FIELD_FLAGS!r}, "--T", "1"],
+    ["--mode", "eval", *{WEAK_FIELD_FLAGS!r}, "--T0"],
+    ["--mode", "transitions", *{STRONG_FLAGS!r}, "--var", "T", "--from", "0.5", "--to", "3"],
+    {README_SWEEP!r},
+    ["--mode", "selftest"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    loaded.append("numpy" in sys.modules)
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+print(loaded)
+"""
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        *runs, loaded = result.stdout.strip().splitlines()
+        # eval, --T0 and transitions run on math alone; the sweep loads numpy, and
+        # the bytes of the sweep and the selftest are the ones of a process that had it
+        assert loaded == "[False, False, False, False, True, True]"
+        assert [line.split()[0] for line in runs] == ["0"] * 5
+        assert runs[3].split()[1] == "c00c52ab2d39b6c5a11114dc57dad9048ee317795fe8b3e5a632a3c2782c4d89"
+        assert runs[4].split()[1] == hashlib.sha256(
+            b"selftest: 100 states, max |closed - oracle| = 8.882e-16\nselftest: ok\n"
+        ).hexdigest()
+
+    def test_selftest_is_the_first_array_operation(self):
+        script = """
+import contextlib, io, sys
+from qxcorr.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["--mode", "selftest", "--seed", "7"])
+print(code, "numpy" in sys.modules, repr(out.getvalue()))
+"""
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == (
+            "0 True 'selftest: 100 states, max |closed - oracle| = 1.443e-15\\nselftest: ok\\n'"
+        )
+
+    def test_package_names_resolve_and_star_import_works(self):
+        script = """
+import sys
+import qxcorr
+loaded = "numpy" in sys.modules
+missing = [name for name in qxcorr.__all__ if not hasattr(qxcorr, name)]
+namespace = {}
+exec("from qxcorr import *", namespace)
+print(loaded, missing, sorted(set(qxcorr.__all__) - set(namespace)), qxcorr.jacobi_eigh is namespace["jacobi_eigh"])
+"""
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False [] [] True"
+
+    def test_benchmark_imports_load_every_traced_module(self):
+        # a traced benchmark run looks up every module of its TRACED table in
+        # sys.modules after importing only the qxcorr modules its workloads import
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        script = f"""
+import ast, importlib, sys
+tree = ast.parse(open({str(bench / "workloads.py")!r}, encoding="utf-8").read())
+names = [a.name for n in tree.body if isinstance(n, ast.Import) for a in n.names]
+names += [n.module for n in tree.body if isinstance(n, ast.ImportFrom) and n.module]
+for name in names:
+    if name.startswith("qxcorr"):
+        importlib.import_module(name)
+sys.path.insert(0, {str(bench)!r})
+from tracing import TRACED
+print(len(TRACED), [name for name in TRACED if f"qxcorr.{{name}}" not in sys.modules])
+"""
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "7 []"
 
     def test_runs_leave_pool_machinery_unloaded(self):
         import subprocess

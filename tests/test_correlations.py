@@ -34,7 +34,7 @@ from qxcorr import (
     w_eigenvalues,
     w_eigenvalues_raw,
 )
-from qxcorr.correlations import BOUNDARY_TOL, BranchPair, _frame_eigenvalues_and_spins, thermal_branches
+from qxcorr.correlations import BOUNDARY_TOL, BranchPair, MomentDiagonal, _frame_eigenvalues_and_spins, thermal_branches
 
 MIXED = XMatrix(a=0.25, b=0.25, c=0.25, d=0.25)
 BELL = XMatrix(a=0.5, b=0.0, c=0.0, d=0.5, u=0.5)
@@ -68,6 +68,15 @@ class TestFisherMoments:
             assert simple.xx == pytest.approx(raw.xx, abs=1e-10)
             assert simple.yy == pytest.approx(raw.yy, abs=1e-10)
             assert simple.zz == pytest.approx(raw.zz, abs=1e-10)
+
+    def test_moment_diagonal_is_a_named_tuple_of_floats(self):
+        k = oracle_m_matrix(BELL.as_matrix())
+        assert MomentDiagonal.of(k) == (k[0, 0], k[1, 1], k[2, 2])
+        raw = m_eigenvalues_raw(BELL)
+        assert [type(value) for value in raw] == [float] * 3
+        assert raw._fields == ("xx", "yy", "zz")
+        with pytest.raises(AttributeError):
+            raw.xx = 0.0
 
     def test_matches_spectral_oracle(self):
         for x in random_states(103, 60):
